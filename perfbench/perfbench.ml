@@ -5,9 +5,10 @@
    each cell from that text to a verdict through the library's public
    API, one cell at a time: a closed loop with one client, the next cell
    starting when the previous verdict returns.  The drawn cell list is
-   repeated in passes for the requested number of seconds and timings
-   are taken per cell at its best over the passes.  README.md in this
-   directory documents the workloads, the draw rule and every metric.
+   repeated in passes for the requested number of seconds; probes between
+   cells measure the host's speed, and each pass's cell times are divided
+   by it.  README.md in this directory documents the workloads, the draw
+   rule and every metric.
 
      perfbench run --workload W --seed N --seconds S --trace 0|1 [--cells-out FILE]
      perfbench calibrate
@@ -42,7 +43,6 @@ let runner_of_name s =
 type workload = {
   name : string;
   limit : float;  (** per-cell wall-clock limit [s], one number per workload *)
-  stratum : int;  (** one cell is drawn out of every [stratum] reference-ranked cells *)
   candidates : (Registry.entry * string) list;  (** (pool entry, runner name) *)
 }
 
@@ -58,13 +58,11 @@ let workloads =
     {
       name = "table1-mid";
       limit = 2.0;
-      stratum = 2;
       candidates = with_runners (List.map Engine.name Engine.all) mid;
     };
     {
       name = "industrial-race";
       limit = 2.0;
-      stratum = 2;
       candidates = with_runners [ analyzed_race_name ] mid;
     };
   ]
@@ -153,13 +151,14 @@ let shuffle rng a =
     a.(j) <- t
   done
 
-(* The draw rule.  Eligible cells are ranked by reference time and cut
-   into consecutive strata of [w.stratum]; the seed picks one cell from
-   each stratum, so every draw has the same cost profile and the seed
-   decides which instances fill it.  Industrial cells get their pad from
-   the equal-width bands of [pad_min, pad_max], the i-th cheapest stratum
-   the i-th smallest band, so a cell's cost follows its rank too; the
-   seed picks the size within the band and the pad seed.  A pad has a
+(* The draw rule.  Every eligible cell is drawn, so every draw has the
+   same cost profile: drawing one cell of each reference-ranked pair
+   instead moved table1-mid's median cell time and peak heap by a tenth
+   from seed to seed, more than the host did once normalised.
+   Industrial cells get their pad from the equal-width bands of
+   [pad_min, pad_max], the i-th cheapest core the i-th smallest band, so
+   a cell's cost follows its rank; the seed picks the size within the
+   band and the pad seed, so every seed gets fresh designs.  A pad has a
    third as many inputs as latches: the analyzer's cost grows with both,
    and a drawn ratio would swing the cost of single cells by half.
    The cell order is a seeded shuffle. *)
@@ -173,13 +172,6 @@ let draw w ~seed pool =
   in
   let m = Array.length eligible in
   if m = 0 then failwith (Printf.sprintf "no eligible cell for %s in the pool" w.name);
-  let n = (m + w.stratum - 1) / w.stratum in
-  let picks =
-    Array.init n (fun i ->
-        let lo = i * w.stratum in
-        let hi = min m (lo + w.stratum) in
-        eligible.(lo + Random.State.int rng (hi - lo)))
-  in
   let cells =
     Array.mapi
       (fun i r ->
@@ -191,7 +183,7 @@ let draw w ~seed pool =
         let inst =
           match runner_of_name r.runner with
           | Analyzed_race ->
-            let width = float_of_int (pad_max - pad_min) /. float_of_int n in
+            let width = float_of_int (pad_max - pad_min) /. float_of_int m in
             let pad_latches =
               pad_min
               + int_of_float (width *. (float_of_int i +. Random.State.float rng 1.0))
@@ -201,7 +193,7 @@ let draw w ~seed pool =
           | Engine _ -> registry_instance e
         in
         { inst; runner = r.runner; ref_s = r.secs })
-      picks
+      eligible
   in
   shuffle rng cells;
   Array.to_list cells
@@ -410,6 +402,51 @@ let layer_metrics w ~hot ~certify_s raw =
     ("certify.s", "s", certify_s);
   ]
 
+(* --- host speed ------------------------------------------------------------ *)
+
+(* On a shared host the machine's speed swings by 20 to 40 % for tens of
+   seconds at a time as other tenants come and go, and every cell time
+   follows it.  A probe slice is a fixed piece of work that runs between
+   cells, outside the timed region, and measures that speed.  It uses only
+   the standard library: it builds and sorts short lists, so it allocates
+   like the checker but only garbage that dies young, and its minor
+   collections promote next to nothing.  A slice right after checker work
+   pays for that work's leftover collection and refills the caches, about
+   a tenth of its time, so each probe runs one slice untimed and times
+   the next, whose time then follows the host rather than the checker.
+   A pass's host factor is its mean timed slice time over [probe_ref_s];
+   a pass's cell times divided by it are seconds at the reference speed.
+   Over ten seeds of table1-mid at 50 s on a shared two-core Xeon VM,
+   the median raw pass time spread by 19 % (quartile distance over the
+   median) and the normalised wall_norm_s by 2.4 %.  Of five candidate
+   slices (this one, an in-place sort, hashing into tables of 0.5, 8 and
+   32 MB), this one followed the cell times most closely. *)
+let probe_slice () =
+  let acc = ref 0 in
+  for r = 0 to 19 do
+    let l = List.init 1000 (fun i -> ((i * 7919) + r) land 1023) in
+    acc := !acc + List.hd (List.sort compare l)
+  done;
+  ignore (Sys.opaque_identity !acc)
+
+(* The unit [host] factors are measured in: a round figure [s] for a
+   timed slice, which took 0.9 to 1.7 ms on a shared two-core Xeon VM. *)
+let probe_ref_s = 1.2e-3
+
+(* A probe runs whenever this much cell time has passed since the last
+   one, and at both ends of a pass: about 3 % on top of the cells. *)
+let probe_every_s = 0.1
+
+let timed f =
+  let t0 = Clock.now () in
+  f ();
+  Clock.now () -. t0
+
+(* One probe: a slice untimed, then the time of the next. *)
+let probe_time () =
+  probe_slice ();
+  timed probe_slice
+
 (* --- passes -------------------------------------------------------------- *)
 
 type sample = { s_wall : float; s_cpu : float; s_status : status }
@@ -419,8 +456,9 @@ type sample = { s_wall : float; s_cpu : float; s_status : status }
    and slow every later pass's GC. *)
 type pass = {
   traced : bool;
-  samples : sample array;  (** in cell order *)
-  p_wall : float;
+  samples : sample array;  (** in cell order, times divided by [host] *)
+  p_wall : float;  (** the cells' total wall time, as measured *)
+  host : float;  (** mean probe slice time over [probe_ref_s] *)
   layers : (string * string * float) list;  (** traced passes only *)
   minor_words : float;
   major_collections : int;
@@ -444,9 +482,30 @@ let run_pass ~traced w cells texts =
     end
     else None
   in
+  (* The probes' own allocation is left out of the GC counters. *)
+  let slices = ref [] and since = ref 0. and probe_words = ref 0. in
+  let probe () =
+    let w0 = Gc.minor_words () in
+    slices := probe_time () :: !slices;
+    probe_words := !probe_words +. (Gc.minor_words () -. w0);
+    since := 0.
+  in
+  probe ();
+  probe_words := 0.;
   let gc0 = Gc.quick_stat () in
-  let raw = List.map (fun c -> run_cell ~traced w c (Hashtbl.find texts c.inst.iname)) cells in
+  let raw =
+    List.map
+      (fun c ->
+        let r = run_cell ~traced w c (Hashtbl.find texts c.inst.iname) in
+        since := !since +. r.wall;
+        if !since >= probe_every_s then probe ();
+        r)
+      cells
+  in
   let gc1 = Gc.quick_stat () in
+  let minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words -. !probe_words in
+  probe ();
+  let host = sum Fun.id !slices /. float_of_int (List.length !slices) /. probe_ref_s in
   let hot =
     match snapshot with
     | None -> []
@@ -460,7 +519,7 @@ let run_pass ~traced w cells texts =
       (fun r ->
         let s = judge r in
         report r s;
-        { s_wall = r.wall; s_cpu = r.cpu; s_status = s })
+        { s_wall = r.wall /. host; s_cpu = r.cpu /. host; s_status = s })
       raw
   in
   let certify_s = Clock.now () -. t0 in
@@ -468,8 +527,9 @@ let run_pass ~traced w cells texts =
     traced;
     samples = Array.of_list samples;
     p_wall = sum (fun r -> r.wall) raw;
+    host;
     layers = (if traced then layer_metrics w ~hot ~certify_s raw else []);
-    minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
+    minor_words;
     major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
   }
 
@@ -486,44 +546,59 @@ let measure ~seconds ~trace w cells texts =
   in
   go [] 0
 
-(* Each drawn cell at its best over [passes].  Every pass does the same
-   work from the same heap (races aside), so what varies between passes
-   is the host's speed, and other tenants only ever slow a cell down.
-   Those swings outlast a pass: a per-cell median still follows them,
-   the best time much less. *)
-let best_per_cell f passes =
-  match passes with
-  | [] -> []
-  | p0 :: _ ->
-    List.init (Array.length p0.samples) (fun i ->
-        List.fold_left (fun b p -> Float.min b (f p.samples.(i))) infinity passes)
+(* Every pass does the same work from the same heap (races aside), and
+   the host factor takes out the host's speed, so what is left between
+   passes is the noise of single cells.  Medians and percentiles over
+   the passes do not depend on how many passes fitted into the run, as a
+   best time would.  [pass_total] is a pass's total over its cells of a
+   normalised time. *)
+let pass_total f p = Array.fold_left (fun s x -> s +. f x) 0. p.samples
+
+(* Every cell time of [passes], normalised: the sample the percentiles
+   are taken over.  A race's time varies from pass to pass with which
+   engine wins, so one sample per cell and pass ranks the tail more
+   steadily than one per-cell summary would. *)
+let pooled passes = List.concat_map (fun p -> Array.to_list (Array.map (fun s -> s.s_wall) p.samples)) passes
 
 (* --- set-up --------------------------------------------------------------- *)
 
 (* Generate every distinct instance of the draw and render it to AIGER
    text, at least [setup_min_reps] times and until [setup_min_s] have
-   passed; the median time is [setup_s]. *)
-let setup_min_reps = 3
+   passed.  Each repetition is timed between two runs of [setup_probes]
+   probes and divided by their host factor, as the passes' cell times
+   are; [setup_s] is the median of these normalised times.  Returns the
+   raw times, the normalised ones and the texts. *)
+let setup_min_reps = 5
 let setup_min_s = 1.0
+let setup_probes = 3
+
+let host_now () =
+  let t = ref 0. in
+  for _ = 1 to setup_probes do
+    t := !t +. probe_time ()
+  done;
+  !t /. float_of_int setup_probes /. probe_ref_s
 
 let setup cells =
   let once () =
     let texts = Hashtbl.create 64 in
+    let h0 = host_now () in
     let t0 = Clock.now () in
     List.iter
       (fun c ->
         if not (Hashtbl.mem texts c.inst.iname) then
           Hashtbl.add texts c.inst.iname (Aiger.to_string (c.inst.build ())))
       cells;
-    (Clock.now () -. t0, texts)
+    let t = Clock.now () -. t0 in
+    (t, t /. ((h0 +. host_now ()) /. 2.), texts)
   in
-  let rec go times n =
-    let t, texts = once () in
-    let times = t :: times in
-    if n + 1 >= setup_min_reps && sum Fun.id times >= setup_min_s then (times, texts)
-    else go times (n + 1)
+  let rec go raw norm n =
+    let t, tn, texts = once () in
+    let raw = t :: raw and norm = tn :: norm in
+    if n + 1 >= setup_min_reps && sum Fun.id raw >= setup_min_s then (raw, norm, texts)
+    else go raw norm (n + 1)
   in
-  go [] 0
+  go [] [] 0
 
 (* --- output --------------------------------------------------------------- *)
 
@@ -536,8 +611,8 @@ let json_metrics ms =
 let write_cells path w ~seed cells =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  Printf.fprintf oc "# workload=%s seed=%d limit_s=%g stratum=%d cells=%d\n" w.name seed w.limit
-    w.stratum (List.length cells);
+  Printf.fprintf oc "# workload=%s seed=%d limit_s=%g cells=%d\n" w.name seed w.limit
+    (List.length cells);
   Printf.fprintf oc "# index\tinstance\trunner\texpected\tref_s\tgenerator\n";
   List.iteri
     (fun i c ->
@@ -573,7 +648,7 @@ let run ~workload ~seed ~seconds ~trace ~cells_out =
   let pool = load_pool pool_path in
   let cells = draw w ~seed pool in
   Option.iter (fun path -> write_cells path w ~seed cells) cells_out;
-  let setup_times, texts = setup cells in
+  let setup_raw, setup_norm, texts = setup cells in
   let races = List.exists (fun (_, r) -> runner_of_name r = Analyzed_race) w.candidates in
   let probe = if trace && races then overrun_probe w ~seed pool else 0. in
   let passes = measure ~seconds ~trace w cells texts in
@@ -585,15 +660,16 @@ let run ~workload ~seed ~seconds ~trace ~cells_out =
   let solved = count (( = ) Solved) in
   let wrong = count (function Wrong _ -> true | _ -> false) in
   let med f ps = median (List.map f ps) in
-  let cell_wall = best_per_cell (fun s -> s.s_wall) plain in
+  let cell_times = pooled plain in
+  let wall_norm ps = med (pass_total (fun s -> s.s_wall)) ps in
   let metrics =
     if not trace then
       [
-        ("setup_s", "s", median setup_times);
-        ("wall_s", "s", sum Fun.id cell_wall);
-        ("cpu_s", "s", sum Fun.id (best_per_cell (fun s -> s.s_cpu) plain));
-        ("cell_p50_s", "s", quantile 0.5 cell_wall);
-        ("cell_p90_s", "s", quantile 0.9 cell_wall);
+        ("setup_s", "s", median setup_norm);
+        ("wall_norm_s", "s", wall_norm plain);
+        ("cpu_norm_s", "s", med (pass_total (fun s -> s.s_cpu)) plain);
+        ("cell_p50_norm_s", "s", quantile 0.5 cell_times);
+        ("cell_p90_norm_s", "s", quantile 0.9 cell_times);
         ("solved_frac", "frac", ratio (float_of_int solved) (float_of_int attempted));
         ( "heap_peak_mb",
           "MiB",
@@ -610,16 +686,21 @@ let run ~workload ~seed ~seconds ~trace ~cells_out =
       @ [
           ( "obs.trace_overhead_frac",
             "frac",
-            ratio (sum Fun.id (best_per_cell (fun s -> s.s_wall) traced)) (sum Fun.id cell_wall) -. 1. );
+            ratio (wall_norm traced) (wall_norm plain) -. 1. );
           ("gc.minor_mwords", "Mword", med (fun p -> p.minor_words /. 1e6) plain);
           ("gc.major_collections", "count", med (fun p -> float_of_int p.major_collections) plain);
         ]
   in
   Printf.printf "workload %s, seed %d, limit %g s per cell: %d cells x %d passes (%d traced)\n"
     w.name seed w.limit (List.length cells) (List.length passes) (List.length traced);
-  Printf.printf "pass wall_s: %s\n"
+  Printf.printf "pass wall_s (host factor): %s\n"
     (String.concat " "
-       (List.map (fun p -> Printf.sprintf "%.3f%s" p.p_wall (if p.traced then "t" else "")) passes));
+       (List.map
+          (fun p -> Printf.sprintf "%.3f%s (%.3f)" p.p_wall (if p.traced then "t" else "") p.host)
+          passes));
+  Printf.printf "%-26s %14.6g s\n%-26s %14.6g s\n%-26s %14.6g\n" "wall_s (median pass)"
+    (med (fun p -> p.p_wall) plain) "setup (median, raw)" (median setup_raw) "host factor (median)"
+    (med (fun p -> p.host) plain);
   List.iter (fun (n, u, v) -> Printf.printf "%-26s %14.6g %s\n" n v u) metrics;
   Printf.printf "%-26s %14d\n%-26s %14d\n" "cells" attempted "wrong_verdicts" wrong;
   Printf.printf "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}\n%!"
