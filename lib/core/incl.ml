@@ -1,14 +1,24 @@
-open Isr_aig
+open Isr_sat
 open Isr_model
+module Tseitin = Isr_cnf.Tseitin
 
-let sat_and budget stats model a b =
+type t = { solver : Solver.t; enc : Tseitin.t }
+
+let create model =
+  let solver = Solver.create () in
+  (* State predicates range over the latches; any AIG input (latch or
+     primary input) in a cone gets one free variable, shared by every
+     query. *)
+  let enc =
+    Tseitin.create ~man:model.Model.man ~solver ~tag:1 ~input_lit:(fun _ ->
+        Lit.pos (Solver.new_var solver))
+  in
+  { solver; enc }
+
+let implies t budget stats a b =
   Isr_obs.Trace.span "incl.check" @@ fun () ->
-  let u = Unroll.create model in
-  Unroll.assert_circuit u ~frame:0 ~tag:1 a;
-  Unroll.assert_circuit u ~frame:0 ~tag:1 b;
-  match Budget.solve budget stats (Unroll.solver u) with
-  | Isr_sat.Solver.Sat -> true
-  | Isr_sat.Solver.Unsat -> false
-  | Isr_sat.Solver.Undef -> assert false
-
-let implies budget stats model a b = not (sat_and budget stats model a (Aig.not_ b))
+  let assumptions = [ Tseitin.lit t.enc a; Lit.neg (Tseitin.lit t.enc b) ] in
+  match Budget.solve ~assumptions budget stats t.solver with
+  | Solver.Sat -> false
+  | Solver.Unsat -> true
+  | Solver.Undef -> assert false

@@ -43,6 +43,7 @@ type st = {
   budget : Budget.t;
   stats : Verdict.stats;
   system : Itp.system option;
+  mutable incl : Incl.t;             (* fixpoint-check context of bound [k] *)
   mutable k : int;
   mutable phase : phase;
 }
@@ -60,6 +61,7 @@ let mk ~limits ~system ~k model =
     budget = Budget.start limits;
     stats = Verdict.mk_stats ();
     system;
+    incl = Incl.create model;
     k;
     phase = (if k = 0 then Check0 else Outer);
   }
@@ -112,6 +114,10 @@ let step st =
         | u, Solver.Sat -> falsified st u ~k
         | _, Solver.Undef -> assert false
         | u, Solver.Unsat ->
+          (* The traversal restarts from the initial states at every
+             bound, so the previous bound's chain is never queried
+             again: a fresh context keeps its cones out of the search. *)
+          st.incl <- Incl.create st.model;
           st.phase <- Inner { j = 1; r = Model.init_lit st.model; cur = itp_of st u ~k };
           Step.Running
       end
@@ -123,7 +129,7 @@ let step st =
         Isr_obs.Trace.span "itp.inner"
           ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
           (fun () ->
-            if Incl.implies st.budget st.stats st.model cur r then `Fixpoint
+            if Incl.implies st.incl st.budget st.stats cur r then `Fixpoint
             else begin
               let u = build_bound_instance st.model ~start:(`Circuit cur) ~k in
               match Budget.solve st.budget st.stats (Unroll.solver u) with

@@ -26,6 +26,7 @@ type st = {
   alpha : float;
   check : Bmc.check;
   cba : Cba.t;
+  incl : Incl.t;                             (* sweep context, a cache *)
   mutable k : int;
   mutable columns : Aig.lit array;
   mutable entry_columns : Aig.lit array;
@@ -51,6 +52,7 @@ let mk ~limits ~alpha ~check ~k ~columns ?frozen model =
     alpha;
     check;
     cba;
+    incl = Incl.create model;
     k;
     columns;
     entry_columns = Array.copy columns;
@@ -131,7 +133,7 @@ let step st =
       if
         Isr_obs.Trace.span "itpseq.sweep"
           ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
-          (fun () -> Incl.implies st.budget st.stats st.model c r)
+          (fun () -> Incl.implies st.incl st.budget st.stats c r)
       then Step.Done (finish st (Verdict.Proved { kfp = k; jfp = j; invariant = Some r }))
       else begin
         if j >= k then next_bound st

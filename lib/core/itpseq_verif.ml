@@ -25,6 +25,7 @@ type st = {
   mode : Seq_family.mode;
   check : Bmc.check;
   system : Isr_itp.Itp.system option;
+  incl : Incl.t;                             (* sweep context, a cache *)
   mutable k : int;
   (* Column conjunctions ℐ_j, 1-based; grows by one per bound. *)
   mutable columns : Aig.lit array;
@@ -48,6 +49,7 @@ let mk ~limits ~mode ~check ~system ~k ~columns model =
     mode;
     check;
     system;
+    incl = Incl.create model;
     k;
     columns;
     entry_columns = Array.copy columns;
@@ -104,7 +106,7 @@ let step st =
       if
         Isr_obs.Trace.span "itpseq.sweep"
           ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
-          (fun () -> Incl.implies st.budget st.stats st.model c r)
+          (fun () -> Incl.implies st.incl st.budget st.stats c r)
       then begin
         Log.debug (fun m -> m "fixpoint at k=%d j=%d" k j);
         Step.Done (finish st (Verdict.Proved { kfp = k; jfp = j; invariant = Some r }))

@@ -167,10 +167,15 @@ let portfolio_race ~jobs ~limits ~share ~members model =
   let groups = partition jobs indexed in
   let ngroups = List.length groups in
   let hub = Option.map (fun f -> Share.create ~jobs:ngroups f) share in
-  (* Each racer gets the whole wall-clock budget: the race trades cores
-     for latency, it does not split the deadline. *)
+  (* Each racer gets the race's whole remaining wall-clock budget: the
+     race trades cores for latency, it does not split the deadline.  A
+     lane claimed late (stolen after its group's head retired) gets what
+     is left of [time_limit] since [t0], not a fresh one, so the race
+     as a whole ends by its deadline. *)
   let claim (i, w, m) =
     if Atomic.compare_and_set claimed.(i) false true then
+      let left = limits.Budget.time_limit -. (Isr_obs.Clock.now () -. t0) in
+      let limits = { limits with Budget.time_limit = Float.max 0. left } in
       Some
         {
           Sched.id = i;

@@ -363,10 +363,144 @@ let test_budget_expiry_dumps_flight () =
              | _ -> false)
            evs))
 
+(* --- formulation pin -----------------------------------------------------
+   Verdict and convergence depths of the interpolation engines on quick
+   registry entries.  kfp and jfp are decided by the fixpoint checks, so
+   a change to how those checks are posed (encoding, solver reuse, proof
+   logging) must leave this table unchanged; a deliberate change of
+   formulation updates it and says why.  fifo3 runs only the engine that
+   closes it quickly. *)
+type pin = Pin_proved of int * int | Pin_falsified of int
+
+let pin_engines =
+  [ "itp"; "itpseq-assume"; "sitpseq0.5-assume"; "itpseqcba0.5-exact"; "itpseqpba-exact" ]
+
+let pins =
+  let p k j = Pin_proved (k, j) and f d = Pin_falsified d in
+  (* A row pins the first engines of [pin_engines], in order. *)
+  let row name ps = (name, List.mapi (fun i pin -> (List.nth pin_engines i, pin)) ps) in
+  [
+    row "vending11" [ p 1 4; p 6 6; p 6 6; p 7 7; p 7 6 ];
+    row "peterson" [ p 6 6; p 11 7; p 11 7; p 10 6; p 11 7 ];
+    row "traffic6" [ p 1 3; p 3 3; p 3 3; p 3 3; p 3 3 ];
+    row "ring6safe" [ p 1 6; p 6 6; p 6 6; p 6 6; p 6 6 ];
+    row "coherence4" [ p 1 5; p 4 4; p 4 4; p 5 3; p 5 3 ];
+    row "johnson6" [ p 2 12; p 12 12; p 12 12; p 12 12; p 12 12 ];
+    row "arbiter5" [ p 2 4; p 3 2; p 3 2; p 3 2; p 3 2 ];
+    row "eijkring12" [ p 1 12; p 12 12; p 12 12 ];
+    row "vending7bug" [ f 8; f 8; f 8; f 8; f 8 ];
+    row "stack3bug" [ f 9; f 9; f 9; f 9; f 9 ];
+    ("fifo3", [ ("sitpseq0.5-assume", p 13 9) ]);
+  ]
+
+let test_formulation_pin name cells () =
+  let model = Registry.build_validated (entry name) in
+  List.iter
+    (fun (ename, pin) ->
+      let eng = match Engine.of_name ename with Ok e -> e | Error m -> Alcotest.fail m in
+      let ctx = Printf.sprintf "%s/%s" name ename in
+      match (Engine.run eng ~limits model, pin) with
+      | (Verdict.Proved { kfp; jfp; _ }, _), Pin_proved (k, j) ->
+        Alcotest.(check (pair int int)) (ctx ^ " kfp,jfp") (k, j) (kfp, jfp)
+      | (Verdict.Falsified { depth; _ }, _), Pin_falsified d ->
+        Alcotest.(check int) (ctx ^ " cex depth") d depth
+      | (v, _), _ -> Alcotest.failf "%s: verdict changed to %a" ctx Verdict.pp v)
+    cells
+
+(* --- Incl: one context, many queries ---------------------------------------
+   A random sequence of implication queries on one context must agree with
+   exhaustive enumeration of the latch valuations: neither the cached
+   cones nor the learnt clauses of earlier queries may leak into a later
+   answer.  The sequence is replayed reversed, and every predicate is also
+   tested against both constants on both sides. *)
+type pred = P_true | P_false | P_latch of int | P_not of pred | P_and of pred * pred | P_or of pred * pred
+
+let rec show_pred = function
+  | P_true -> "T"
+  | P_false -> "F"
+  | P_latch i -> Printf.sprintf "l%d" i
+  | P_not p -> "!" ^ show_pred p
+  | P_and (a, b) -> Printf.sprintf "(%s & %s)" (show_pred a) (show_pred b)
+  | P_or (a, b) -> Printf.sprintf "(%s | %s)" (show_pred a) (show_pred b)
+
+let gen_incl_case =
+  let open QCheck2.Gen in
+  let* nl = int_range 1 8 in
+  let leaf = oneof [ pure P_true; pure P_false; map (fun i -> P_latch i) (int_range 0 (nl - 1)) ] in
+  let pred =
+    sized_size (int_range 0 6) @@ fix (fun self n ->
+        if n = 0 then leaf
+        else
+          let sub = self (n / 2) in
+          oneof
+            [
+              leaf;
+              map (fun p -> P_not p) sub;
+              map2 (fun a b -> P_and (a, b)) sub sub;
+              map2 (fun a b -> P_or (a, b)) sub sub;
+            ])
+  in
+  let* preds = list_size (int_range 1 6) pred in
+  let* queries =
+    list_size (int_range 1 20)
+      (pair (int_range 0 (List.length preds - 1)) (int_range 0 (List.length preds - 1)))
+  in
+  pure (nl, Array.of_list preds, queries)
+
+let print_incl_case (nl, preds, queries) =
+  Printf.sprintf "%d latches; preds [%s]; queries [%s]" nl
+    (String.concat "; " (Array.to_list (Array.map show_pred preds)))
+    (String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "%d=>%d" a b) queries))
+
+let prop_incl_agrees =
+  QCheck2.Test.make ~count:100 ~name:"incl context agrees with enumeration"
+    ~print:print_incl_case gen_incl_case (fun (nl, preds, queries) ->
+      let open Isr_aig in
+      let b = Builder.create "incl" in
+      Array.iter (fun l -> Builder.set_next b l (Aig.not_ l)) (Builder.latches b nl);
+      let model = Builder.finish b ~bad:Aig.lit_false in
+      let man = model.Model.man in
+      let rec lit = function
+        | P_true -> Aig.lit_true
+        | P_false -> Aig.lit_false
+        | P_latch i -> Model.latch_lit model i
+        | P_not p -> Aig.not_ (lit p)
+        | P_and (a, b) -> Aig.and_ man (lit a) (lit b)
+        | P_or (a, b) -> Aig.or_ man (lit a) (lit b)
+      in
+      let holds l state = Sim.eval_lit model ~state ~inputs:[||] l in
+      let reference a b =
+        List.for_all
+          (fun s ->
+            let state = Array.init nl (fun i -> (s lsr i) land 1 = 1) in
+            (not (holds a state)) || holds b state)
+          (List.init (1 lsl nl) Fun.id)
+      in
+      let incl = Incl.create model in
+      let budget = Budget.start limits and stats = Verdict.mk_stats () in
+      (* Predicates are built lazily, query by query, so the context sees
+         the manager grow between queries as it does inside an engine. *)
+      let ask a b = Incl.implies incl budget stats a b = reference a b in
+      let pair_queries = List.map (fun (i, j) -> (preds.(i), preds.(j))) queries in
+      let const_queries =
+        List.concat_map
+          (fun p -> [ (p, P_true); (p, P_false); (P_true, p); (P_false, p) ])
+          (Array.to_list preds)
+      in
+      List.for_all
+        (fun (a, b) -> ask (lit a) (lit b))
+        (pair_queries @ const_queries @ List.rev pair_queries @ pair_queries))
+
 let () =
   Alcotest.run "isr_core"
     [
       ("engines", engine_tests);
+      ( "formulation pin",
+        List.map
+          (fun (name, cells) ->
+            Alcotest.test_case name `Slow (test_formulation_pin name cells))
+          pins );
+      ("incl", [ QCheck_alcotest.to_alcotest prop_incl_agrees ]);
       ( "bmc",
         [
           Alcotest.test_case "falsification" `Slow test_bmc_falsification;

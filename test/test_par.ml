@@ -347,9 +347,11 @@ let test_bmc_jobs_unlimited_bound () =
    (randsim, kind, itp) and (bmc, pdr, itpseqcba): randsim answers
    [Time_limit] when it finds nothing, so only the second lane can be
    exhausted — and with the bound cap at 0 on a safe design, it must
-   be. *)
+   be.  The design's property must not be 0-inductive (amba3g4 needs
+   k = 2): k-induction proves amba2g3 at bound 0, and when that lane
+   wins first the exhausted lane is cancelled before it can report. *)
 let test_exhausted_cause () =
-  let model = Registry.build_validated (entry "amba2g3") in
+  let model = Registry.build_validated (entry "amba3g4") in
   (* With the bound cap at 0 the (bmc, pdr, itpseqcba) lane burns through
      its slate in milliseconds, every member bound-limited, long before
      the other lane's random simulation finishes — so its self-edge must
@@ -375,11 +377,29 @@ let test_exhausted_cause () =
        (function `Cancel (_, Event.Exhausted, _) -> true | _ -> false)
        life)
 
+(* A lane stolen late in the race must inherit the race's remaining
+   time, not start a fresh budget: an undecided race ends by its own
+   deadline.  fifo3 stays undecided by every member within 1 s. *)
+let test_race_deadline () =
+  let model = Registry.build_validated (entry "fifo3") in
+  let t0 = Isr_obs.Clock.now () in
+  let v, _ =
+    Isr_par.portfolio ~jobs:2 ~limits:{ limits with Budget.time_limit = 1.0 } model
+  in
+  let elapsed = Isr_obs.Clock.now () -. t0 in
+  (match v with
+  | Verdict.Unknown _ -> ()
+  | v -> Alcotest.failf "fifo3 decided within 1 s: %a" Verdict.pp v);
+  if elapsed >= 1.5 then Alcotest.failf "race overran its 1 s deadline: %.2f s" elapsed
+
 let () =
   Alcotest.run "isr_par"
     [
       ( "portfolio",
-        [ Alcotest.test_case "race agrees with sequential" `Slow test_race_agrees ] );
+        [
+          Alcotest.test_case "race agrees with sequential" `Slow test_race_agrees;
+          Alcotest.test_case "stolen lanes keep the race deadline" `Slow test_race_deadline;
+        ] );
       ( "bmc",
         [
           Alcotest.test_case "bound-parallel depth" `Slow test_bmc_par_depth;
