@@ -313,9 +313,9 @@ let mode_arg =
     & opt mode_conv Isr_analyze.Full
     & info [ "mode" ] ~docv:"MODE"
         ~doc:
-          "Pass selection: $(b,fast) (constant propagation, dangling-logic \
-           removal, cone-of-influence) or $(b,full) (additionally SAT sweeping; \
-           the default — lint runs are offline).")
+          "Pass selection: $(b,fast) (cone-of-influence, constant propagation on \
+           the cone, cone-of-influence again) or $(b,full) (additionally SAT \
+           sweeping; the default — lint runs are offline).")
 
 let lint_term =
   Term.(

@@ -276,13 +276,14 @@ let analyze_arg =
     & opt ~vopt:(Some Isr_analyze.Fast) (some mode_conv) None
     & info [ "analyze" ] ~docv:"MODE"
         ~doc:
-          "Run the certified static analyzer before the engine: ternary-fixpoint \
-           constant propagation and stuck-at latch elimination, dangling-logic \
-           removal and cone-of-influence reduction ($(b,fast), the default when \
-           the flag is given), plus SAT sweeping ($(b,full)).  Trivial verdicts \
-           short-circuit the engine; counterexamples found on the simplified \
-           model are lifted back to the original inputs.  Certification \
-           intensity follows $(b,--check).")
+          "Run the certified static analyzer before the engine: cone-of-influence \
+           reduction (which also drops logic outside every cone), then \
+           ternary-fixpoint constant propagation and stuck-at latch elimination on \
+           the cone, then cone-of-influence reduction again ($(b,fast), the \
+           default when the flag is given), plus SAT sweeping ($(b,full)). \
+           Trivial verdicts short-circuit the engine; counterexamples found on \
+           the simplified model are lifted back to the original inputs. \
+           Certification intensity follows $(b,--check).")
 
 let compact_arg =
   Arg.(
@@ -846,20 +847,26 @@ let verify_term =
           else 0
         | Verdict.Falsified { trace; _ } ->
           if witness then Format.printf "%a@." Trace.pp trace;
-          (match witness_file with
-          | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc (Aiger.witness_to_string model trace));
-            if not json then Format.printf "witness written to %s@." path
-          | None -> ());
-          if Sim.check_trace model trace then begin
+          let replay =
+            match witness_file with
+            | Some path ->
+              Out_channel.with_open_text path (fun oc ->
+                  Out_channel.output_string oc (Aiger.witness_to_string model trace));
+              if not json then Format.printf "witness written to %s@." path;
+              (* Replay the file as written, so the check covers it too. *)
+              Aiger.witness_of_string model (In_channel.with_open_text path In_channel.input_all)
+            | None -> Ok trace
+          in
+          (match replay with
+          | Ok tr when Sim.check_trace model tr ->
             if not json then Format.printf "witness: replayed on the concrete model@.";
             1
-          end
-          else begin
+          | Ok _ ->
             Format.printf "witness: REPLAY FAILED (internal error)@.";
             3
-          end
+          | Error e ->
+            Format.printf "witness: REPLAY FAILED (%s)@." e;
+            3)
         | Verdict.Unknown _ -> 4))
   in
   Term.(

@@ -37,6 +37,16 @@ let create () =
   m.n <- 1;
   m
 
+let clone m =
+  {
+    fanin0 = Array.copy m.fanin0;
+    fanin1 = Array.copy m.fanin1;
+    n = m.n;
+    ninputs = m.ninputs;
+    strash = Hashtbl.copy m.strash;
+    inputs = Array.copy m.inputs;
+  }
+
 let grow m =
   if m.n = Array.length m.fanin0 then begin
     let cap = 2 * m.n in
@@ -148,21 +158,45 @@ let eval64 m env root =
 
 (* The one structural cone walk of the library: every traversal below —
    single-root folds, support computation, reachable-AND counts in the
-   linter, COI closures, fingerprinting — goes through this iterator, so
-   the union of many cones is visited with a single shared seen-table. *)
-let iter_cones m roots ~f =
-  let seen = Hashtbl.create 64 in
-  let rec visit node =
-    if not (Hashtbl.mem seen node) then begin
-      Hashtbl.add seen node ();
+   linter, COI closures, fingerprinting — goes through this walker, so
+   the union of many cones is visited with a single shared seen-set.  The
+   set is a byte mark per node: walks cover a sizeable share of the
+   manager, where clearing a flat array is far cheaper than hashing every
+   visited node. *)
+let walker m ~size =
+  let seen = ref (Bytes.make size '\000') in
+  let rec visit f node =
+    if Bytes.get !seen node = '\000' then begin
+      Bytes.set !seen node '\001';
       if m.fanin0.(node) >= 0 then begin
-        visit (node_of m.fanin0.(node));
-        visit (node_of m.fanin1.(node))
+        visit f (node_of m.fanin0.(node));
+        visit f (node_of m.fanin1.(node))
       end;
       f node
     end
   in
-  List.iter (fun root -> visit (node_of root)) roots
+  fun root ~f ->
+    let node = node_of root in
+    let len = Bytes.length !seen in
+    if node >= len then begin
+      (* Nodes made after the walker: widen the mark to the manager. *)
+      let wider = Bytes.make m.n '\000' in
+      Bytes.blit !seen 0 wider 0 len;
+      seen := wider
+    end;
+    visit f node
+
+let cone_walk m = walker m ~size:m.n
+
+let iter_cones m roots ~f =
+  match roots with
+  | [] -> ()
+  | _ ->
+    (* Every cone node lies below its root, so the mark need only reach
+       the highest root. *)
+    let top = List.fold_left (fun acc r -> max acc (node_of r)) 0 roots in
+    let walk = walker m ~size:(top + 1) in
+    List.iter (fun root -> walk root ~f) roots
 
 let fold_cones m roots ~init ~f =
   let acc = ref init in
@@ -171,12 +205,10 @@ let fold_cones m roots ~init ~f =
 
 let fold_cone m root ~init ~f = fold_cones m [ root ] ~init ~f
 
-let supports m roots =
-  fold_cones m roots ~init:[] ~f:(fun acc node ->
+let support m root =
+  fold_cone m root ~init:[] ~f:(fun acc node ->
       if m.fanin0.(node) = -1 then m.fanin1.(node) :: acc else acc)
   |> List.sort_uniq Int.compare
-
-let support m root = supports m [ root ]
 
 let cone_sizes m roots =
   fold_cones m roots ~init:0 ~f:(fun acc node -> if m.fanin0.(node) >= 0 then acc + 1 else acc)

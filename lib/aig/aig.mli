@@ -15,6 +15,12 @@ type lit = int
 
 val create : unit -> man
 
+val clone : man -> man
+(** An independent copy with the same node numbering: every literal of
+    the source means the same function in the copy, and nodes made in one
+    afterwards are invisible to the other.  A manager is not safe to grow
+    from two domains at once; each gets its own clone. *)
+
 val lit_false : lit
 val lit_true : lit
 
@@ -71,10 +77,6 @@ val eval64 : man -> (int -> int64) -> lit -> int64
 val support : man -> lit -> int list
 (** Sorted input indices the literal structurally depends on. *)
 
-val supports : man -> lit list -> int list
-(** Sorted input indices of the union of the cones — one traversal with
-    one shared seen-table, not one walk per root. *)
-
 val cone_size : man -> lit -> int
 (** Number of AND nodes in the literal's cone. *)
 
@@ -95,6 +97,13 @@ val iter_cones : man -> lit list -> f:(int -> unit) -> unit
 
 val fold_cones : man -> lit list -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** Fold form of {!iter_cones}. *)
+
+val cone_walk : man -> lit -> f:(int -> unit) -> unit
+(** [cone_walk m] is a walk whose seen-set persists across its calls:
+    [walk root ~f] visits, in {!iter_cones} order, the nodes of [root]'s
+    cone that no earlier call on the same [walk] visited.  For closures
+    that discover their roots as they go (sequential cones of influence,
+    per-root checks over a union). *)
 
 val copier : src:man -> dst:man -> map:(int -> lit) -> lit -> lit
 (** [copier ~src ~dst ~map] is a memoizing cross-manager copy function:

@@ -94,11 +94,14 @@ let equiv_claim ~check (old_m : Model.t) (new_m : Model.t) =
    original; [unlift] maps state predicates (invariant conjuncts) of the
    current manager back onto the original manager.  [inv_facts] are the
    stuck-at facts already baked into the current model, expressed on the
-   original manager — a Safe certificate must conjoin them. *)
+   original manager — a Safe certificate must conjoin them.  [fix]
+   caches the ternary fixpoint of one model, so the Safe probe and the
+   const pass on the same [m] share one {!Ternary.lfp}. *)
 
 type chain = {
   original : Model.t;
   mutable m : Model.t;
+  mutable fix : (Model.t * Ternary.tv array) option;
   mutable lift : Trace.t -> Trace.t;
   mutable unlift : Aig.lit -> Aig.lit;
   mutable inv_facts : Aig.lit list;
@@ -107,6 +110,14 @@ type chain = {
 }
 
 let add_diag c d = c.diags <- d :: c.diags
+
+let lfp c =
+  match c.fix with
+  | Some (m, fix) when m == c.m -> fix
+  | _ ->
+    let fix = Ternary.lfp c.m in
+    c.fix <- Some (c.m, fix);
+    fix
 
 let record_pass c ~pass ~before ~claims =
   let ands_before = Model.num_ands before and ands_after = Model.num_ands c.m in
@@ -142,7 +153,7 @@ let const_pass c =
   let m = c.m in
   let ni = m.Model.num_inputs and nl = m.Model.num_latches in
   let man = m.Model.man in
-  let fix = Ternary.lfp m in
+  let fix = lfp c in
   let consts =
     List.filter_map
       (fun i -> Option.map (fun b -> (i, b)) (Ternary.to_bool fix.(i)))
@@ -305,53 +316,13 @@ let const_pass c =
     end
   end
 
-(* --- dangling-logic removal ------------------------------------------- *)
-
-let dangling_pass c =
-  let m = c.m in
-  let dead = Aig.num_ands m.Model.man - Model.num_ands m in
-  if dead > 0 then begin
-    let man = m.Model.man in
-    let ni = m.Model.num_inputs in
-    let b = Builder.create (m.Model.name ^ "_dang") in
-    let new_pis = Array.init ni (fun _ -> Builder.input b) in
-    let new_latches =
-      Array.init m.Model.num_latches (fun i -> Builder.latch b ~init:m.Model.init.(i) ())
-    in
-    let map i = if i < ni then new_pis.(i) else new_latches.(i - ni) in
-    let copy = Aig.copier ~src:man ~dst:(Builder.man b) ~map in
-    Array.iteri (fun i _ -> Builder.set_next b new_latches.(i) (copy m.Model.next.(i))) m.Model.next;
-    let m' = Builder.finish b ~bad:(copy m.Model.bad) in
-    let claims = ref 0 in
-    let ok =
-      if not (Level.paranoid ()) then true
-      else begin
-        incr claims;
-        match equiv_claim ~check:"analyze.dangling.miter" m m' with
-        | `Certified -> true
-        | `Unknown -> false
-      end
-    in
-    if not ok then
-      add_diag c
-        (Diag.warning ~check:"analyze.dangling"
-           "dangling-removal miter undischarged within budget; pass skipped")
-    else begin
-      add_diag c
-        (Diag.warningf ~check:"analyze.dangling" "%d dangling AND node%s removed" dead
-           (if dead = 1 then "" else "s"));
-      let unlift_old = c.unlift in
-      let back =
-        Aig.copier ~src:m'.Model.man ~dst:man ~map:(fun i -> Aig.input man i)
-      in
-      c.unlift <- (fun l -> unlift_old (back l));
-      c.m <- m';
-      record_pass c ~pass:"dangling" ~before:m ~claims:!claims
-    end
-  end
-
 (* --- cone-of-influence reduction --------------------------------------- *)
 
+(* Also the dangling-logic sweep: the rebuild lands in a fresh manager
+   holding exactly the kept cones, so a manager with ANDs outside every
+   cone ([Aig.num_ands man > Model.num_ands m]) is worth replacing even
+   when every latch and input stays — the fresh manager's own count
+   stands in for the cone walk. *)
 let coi_pass c =
   let m = c.m in
   let r = Coi.reduce m in
@@ -359,6 +330,7 @@ let coi_pass c =
   if
     m'.Model.num_latches = m.Model.num_latches
     && m'.Model.num_inputs = m.Model.num_inputs
+    && Aig.num_ands m'.Model.man >= Aig.num_ands m.Model.man
   then ()
   else begin
     let claims = ref 0 in
@@ -403,9 +375,9 @@ let coi_pass c =
            "cone-of-influence miter undischarged within budget; pass skipped")
     else begin
       add_diag c
-        (Diag.warningf ~check:"analyze.coi" "kept %d/%d latches, %d/%d inputs"
+        (Diag.warningf ~check:"analyze.coi" "kept %d/%d latches, %d/%d inputs, %d/%d ANDs"
            m'.Model.num_latches m.Model.num_latches m'.Model.num_inputs
-           m.Model.num_inputs);
+           m.Model.num_inputs (Aig.num_ands m'.Model.man) (Aig.num_ands m.Model.man));
       let unlift_old = c.unlift and lift_old = c.lift in
       let ni' = m'.Model.num_inputs in
       let back =
@@ -472,7 +444,7 @@ let fraig_pass c =
    accumulated stuck-at facts plus the current fixpoint constants. *)
 let try_safe c =
   let m = c.m in
-  let fix = Ternary.lfp m in
+  let fix = lfp c in
   let xin = Array.make m.Model.num_inputs Ternary.X in
   if Ternary.bad_now m ~state:fix ~inputs:xin <> Ternary.F then None
   else begin
@@ -639,6 +611,7 @@ let run ?(mode = Fast) ?registry (original : Model.t) =
     {
       original;
       m = original;
+      fix = None;
       lift = Fun.id;
       unlift = Fun.id;
       inv_facts = [];
@@ -648,17 +621,22 @@ let run ?(mode = Fast) ?registry (original : Model.t) =
   in
   let verdict = ref None in
   if mode <> Off then begin
+    (* Cone first: every later probe and pass sees only the logic the
+       property can observe.  The COI is closed under next-state support,
+       so each kept latch has the same ternary fixpoint as in the whole
+       design, and const finds the same facts and folds.  The second coi
+       drops what const's folds cut loose.  A probe re-runs only when a
+       pass replaced the model. *)
+    coi_pass c;
     verdict := try_verdict c;
-    let passes =
-      [ const_pass; dangling_pass; coi_pass ] @ if mode = Full then [ fraig_pass ] else []
-    in
     List.iter
       (fun pass ->
         if !verdict = None then begin
+          let before = c.m in
           pass c;
-          verdict := try_verdict c
+          if c.m != before then verdict := try_verdict c
         end)
-      passes
+      ([ const_pass; coi_pass ] @ if mode = Full then [ fraig_pass ] else [])
   end;
   let r =
     {

@@ -2,20 +2,26 @@
 
     A pass pipeline over {!Isr_model.Model.t} run before any engine:
 
-    + [const] — ternary reachability fixpoint ({!Ternary.lfp}) finds
-      stuck-at latches and X-insensitive AND nodes; constants propagate
-      and stuck latches are eliminated,
-    + [dangling] — logic outside every next-state and bad cone is
-      dropped by rebuilding in a fresh manager,
-    + [coi] — cone-of-influence reduction ({!Isr_model.Coi.reduce}),
+    + [coi] — cone-of-influence reduction ({!Isr_model.Coi.reduce}); its
+      rebuild in a fresh manager also drops logic outside every
+      next-state and bad cone,
+    + [const] — ternary reachability fixpoint ({!Ternary.lfp}) on the
+      cone finds stuck-at latches and X-insensitive AND nodes; constants
+      propagate and stuck latches are eliminated,
+    + [coi] — again, for what the folds of [const] cut loose,
     + [fraig] — SAT sweeping ({!Isr_fraig.Fraig.sweep}, [Full] mode
       only).
 
-    Trivial verdicts are detected before and after every pass: bad
-    ternary-false under the fixpoint yields [Safe] with an inductive
-    invariant expressed on the {e original} model; a depth-0 bad-state
-    hit yields [Unsafe] with a trace lifted back to the original
-    (replay-checked on both models).
+    The COI is closed under next-state support, so every kept latch has
+    the same ternary fixpoint as in the whole design: reducing first
+    changes what the later passes cost, not what they find.
+
+    Trivial verdicts are detected after the first [coi] and after every
+    later pass that replaced the model: bad ternary-false under the
+    fixpoint yields [Safe] with an inductive invariant expressed on the
+    {e original} model; a depth-0 bad-state hit yields [Unsafe] with a
+    trace lifted back to the original (replay-checked on both models).
+    The Safe probe and [const] share one fixpoint per model.
 
     Every rewrite is {e certified} under {!Isr_check_core.Level}: pooled
     1-induction queries discharge stuck-at facts, whole-model miters
@@ -31,7 +37,7 @@ module Diag := Isr_check_core.Diag
 
 type mode = Off | Fast | Full
 (** Pass selection: [Off] returns the model untouched, [Fast] runs the
-    cheap passes (const, dangling, coi), [Full] adds SAT sweeping.
+    cheap passes (coi, const, coi), [Full] adds SAT sweeping.
     Certification intensity is orthogonal: it follows the process-wide
     {!Isr_check_core.Level}. *)
 

@@ -252,17 +252,14 @@ let number (model : Model.t) =
   done;
   let next_var = ref (num_i + num_l + 1) in
   let ands = ref [] in
-  let visit l =
-    ignore
-      (Aig.fold_cone man l ~init:() ~f:(fun () node ->
-           if not (Hashtbl.mem var_of_node node) then begin
-             Hashtbl.add var_of_node node !next_var;
-             incr next_var;
-             ands := node :: !ands
-           end))
-  in
-  Array.iter visit model.Model.next;
-  visit model.Model.bad;
+  (* One walk over next(0..L-1) then bad: each AND is numbered the first
+     time any root's cone reaches it. *)
+  Aig.iter_cones man (Array.to_list model.Model.next @ [ model.Model.bad ]) ~f:(fun node ->
+      if not (Hashtbl.mem var_of_node node) then begin
+        Hashtbl.add var_of_node node !next_var;
+        incr next_var;
+        ands := node :: !ands
+      end);
   let alit l =
     let v = Hashtbl.find var_of_node (Aig.node_of l) in
     (2 * v) + if Aig.is_complemented l then 1 else 0

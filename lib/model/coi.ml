@@ -4,6 +4,7 @@ type reduction = {
   model : Model.t;
   kept_latches : int array;
   kept_inputs : int array;
+  source_inputs : int;
 }
 
 let reduce (m : Model.t) =
@@ -33,22 +34,13 @@ let reduce (m : Model.t) =
     (fun nl' oi -> Builder.set_next b new_latches.(nl') (copy m.Model.next.(oi)))
     kept_latches;
   let model = Builder.finish b ~bad:(copy m.Model.bad) in
-  { model; kept_latches; kept_inputs }
+  { model; kept_latches; kept_inputs; source_inputs = ni }
 
 let lift_trace r (tr : Trace.t) =
-  (* Original input count is not stored in the reduction; recover the
-     width from the mapping's largest index plus the reduced model's
-     complement is impossible — instead callers replay on the original
-     model, so we only need a vector wide enough for every original
-     index.  Use max kept index + 1 as a lower bound and let Sim treat
-     missing inputs as false. *)
-  let width =
-    Array.fold_left (fun acc oi -> max acc (oi + 1)) 0 r.kept_inputs
-  in
   let inputs =
     Array.map
       (fun frame ->
-        let full = Array.make width false in
+        let full = Array.make r.source_inputs false in
         Array.iteri (fun ri oi -> full.(oi) <- frame.(ri)) r.kept_inputs;
         full)
       tr.Trace.inputs

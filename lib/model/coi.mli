@@ -12,6 +12,7 @@ type reduction = {
   model : Model.t;            (** the reduced model *)
   kept_latches : int array;   (** reduced latch index -> original index *)
   kept_inputs : int array;    (** reduced input index -> original index *)
+  source_inputs : int;        (** primary inputs of the original model *)
 }
 
 val reduce : Model.t -> reduction
@@ -22,5 +23,6 @@ val reduce : Model.t -> reduction
 
 val lift_trace : reduction -> Trace.t -> Trace.t
 (** Lifts a counterexample of the reduced model back to the original
-    input space (dropped inputs are set to false — any value works, they
-    cannot influence the property). *)
+    input space: every frame is [source_inputs] wide, and dropped inputs
+    are set to false — any value works, they cannot influence the
+    property. *)

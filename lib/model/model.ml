@@ -41,18 +41,24 @@ let validate t =
     fail "%s: manager has %d inputs, needs %d" t.name (Aig.num_inputs t.man)
       (t.num_inputs + t.num_latches)
   else begin
+    (* One walk over every root with a shared seen-set: an undeclared
+       input reached from an earlier root would have failed there, so the
+       first offending root and its least offending input are the same
+       as with a separate support per root. *)
     let max_idx = t.num_inputs + t.num_latches in
-    let check_cone what l =
-      let bad_input =
-        List.find_opt (fun i -> i >= max_idx) (Aig.support t.man l)
-      in
-      match bad_input with
-      | Some i -> fail "%s: %s reads undeclared input %d" t.name what i
-      | None -> Ok ()
-    in
+    let walk = Aig.cone_walk t.man in
     let rec all = function
       | [] -> Ok ()
-      | (what, l) :: rest -> ( match check_cone what l with Ok () -> all rest | e -> e)
+      | (what, l) :: rest -> (
+        let least = ref max_int in
+        walk l ~f:(fun node ->
+            let nl = node lsl 1 in
+            if Aig.is_input t.man nl then begin
+              let i = Aig.input_index t.man nl in
+              if i >= max_idx then least := min !least i
+            end);
+        if !least < max_int then fail "%s: %s reads undeclared input %d" t.name what !least
+        else all rest)
     in
     all
       (("bad", t.bad)
@@ -64,26 +70,34 @@ type observables = { obs_latches : bool array; obs_inputs : bool array }
 let observable t roots =
   let obs_latches = Array.make t.num_latches false in
   let obs_inputs = Array.make t.num_inputs false in
-  let mark roots =
-    let fresh = ref [] in
-    List.iter
-      (fun i ->
-        if i < t.num_inputs then obs_inputs.(i) <- true
-        else begin
-          let li = i - t.num_inputs in
-          if li < t.num_latches && not obs_latches.(li) then begin
-            obs_latches.(li) <- true;
-            fresh := li :: !fresh
-          end
-        end)
-      (Aig.supports t.man roots);
-    !fresh
+  (* One walk for the whole closure: a node shared by several kept cones
+     is visited once. *)
+  let walk = Aig.cone_walk t.man in
+  let fresh = ref [] in
+  let mark node =
+    let l = node lsl 1 in
+    if Aig.is_input t.man l then begin
+      let i = Aig.input_index t.man l in
+      if i < t.num_inputs then obs_inputs.(i) <- true
+      else begin
+        let li = i - t.num_inputs in
+        if li < t.num_latches && not obs_latches.(li) then begin
+          obs_latches.(li) <- true;
+          fresh := li :: !fresh
+        end
+      end
+    end
   in
-  let rec close = function
+  List.iter (fun r -> walk r ~f:mark) roots;
+  let rec close () =
+    match !fresh with
     | [] -> ()
-    | li :: rest -> close (mark [ t.next.(li) ] @ rest)
+    | li :: rest ->
+      fresh := rest;
+      walk t.next.(li) ~f:mark;
+      close ()
   in
-  close (mark roots);
+  close ();
   { obs_latches; obs_inputs }
 
 let num_ands t =

@@ -152,10 +152,21 @@ let with_analysis ?analyze model k =
     Isr_obs.Metrics.merge ~into:(Verdict.registry stats) areg;
     (verdict, stats)
 
+(* A winning invariant was built in its domain's clone of the manager;
+   copy its cone into the caller's manager, where the verdict is read. *)
+let adopt ~(into : Model.t) (lane : Model.t) = function
+  | Verdict.Proved { kfp; jfp; invariant = Some inv } ->
+    let copy =
+      Isr_aig.Aig.copier ~src:lane.Model.man ~dst:into.Model.man
+        ~map:(Isr_aig.Aig.input into.Model.man)
+    in
+    Verdict.Proved { kfp; jfp; invariant = Some (copy inv) }
+  | v -> v
+
 let portfolio_race ~jobs ~limits ~share ~members model =
   let t0 = Isr_obs.Clock.now () in
   let cancel = Atomic.make false in
-  let winner : (string * Verdict.t) option Atomic.t = Atomic.make None in
+  let winner : (string * Verdict.t * Model.t) option Atomic.t = Atomic.make None in
   (* Members are identified by their global index: lane ids in the event
      stream, and the claim flags below, both use it.  A member belongs to
      whichever domain CAS-claims it — each domain seeds its scheduler
@@ -172,7 +183,7 @@ let portfolio_race ~jobs ~limits ~share ~members model =
      lane claimed late (stolen after its group's head retired) gets what
      is left of [time_limit] since [t0], not a fresh one, so the race
      as a whole ends by its deadline. *)
-  let claim (i, w, m) =
+  let claim model (i, w, m) =
     if Atomic.compare_and_set claimed.(i) false true then
       let left = limits.Budget.time_limit -. (Isr_obs.Clock.now () -. t0) in
       let limits = { limits with Budget.time_limit = Float.max 0. left } in
@@ -192,6 +203,10 @@ let portfolio_race ~jobs ~limits ~share ~members model =
      a worker whose whole slate retires without a verdict records a
      deadline (or exhaustion) self-edge. *)
   let worker w group () =
+    (* Engines grow the model's manager (PDR cubes, interpolants), and two
+       domains growing one manager corrupt its hash-consing: every domain
+       runs its lanes on its own clone. *)
+    let model = { model with Model.man = Isr_aig.Aig.clone model.Model.man } in
     Budget.with_cancel cancel @@ fun () ->
     with_share_ctx hub ~worker:w @@ fun () ->
     if Isr_obs.Event.enabled () then
@@ -204,7 +219,7 @@ let portfolio_race ~jobs ~limits ~share ~members model =
            });
     let rec scan = function
       | [] -> None
-      | x :: tl -> ( match claim x with Some l -> Some l | None -> scan tl)
+      | x :: tl -> ( match claim model x with Some l -> Some l | None -> scan tl)
     in
     let rec take n xs =
       if n = 0 then []
@@ -217,7 +232,7 @@ let portfolio_race ~jobs ~limits ~share ~members model =
     match Sched.run ~refill ~into:stats lanes with
     | exception Budget.Cancelled -> ([], stats)
     | Sched.Winner { lane; verdict } ->
-      if Atomic.compare_and_set winner None (Some (lane.Sched.name, verdict)) then begin
+      if Atomic.compare_and_set winner None (Some (lane.Sched.name, verdict, model)) then begin
         Atomic.set cancel true;
         if Isr_obs.Event.enabled () then begin
           Isr_obs.Event.emit
@@ -258,7 +273,7 @@ let portfolio_race ~jobs ~limits ~share ~members model =
     ~end_args:(fun () ->
       [
         ("winner",
-         match Atomic.get winner with Some (name, _) -> name | None -> "none");
+         match Atomic.get winner with Some (name, _, _) -> name | None -> "none");
       ])
   @@ fun () ->
   Isr_obs.Resource.with_attached (Verdict.registry total) @@ fun () ->
@@ -267,7 +282,7 @@ let portfolio_race ~jobs ~limits ~share ~members model =
   List.iter (fun (_, stats) -> Verdict.merge_into ~into:total stats) results;
   Verdict.set_time total (Isr_obs.Clock.now () -. t0);
   match Atomic.get winner with
-  | Some (_, verdict) -> (verdict, total)
+  | Some (_, verdict, lane_model) -> (adopt ~into:model lane_model verdict, total)
   | None ->
     let reasons = List.concat_map fst results in
     (Verdict.Unknown (Sched.worst_reason reasons Verdict.Time_limit), total)

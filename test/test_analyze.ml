@@ -196,7 +196,7 @@ let verdict_sound =
           | Some (A.Unsafe { trace }) -> Sim.check_trace m trace))
 
 (* A counterexample found on the simplified model lifts through the
-   whole pass composition (const, dangling, coi, fraig) to a trace that
+   whole pass composition (coi, const, coi, fraig) to a trace that
    replays on the original via Sim. *)
 let lift_replays =
   QCheck2.Test.make ~count:150 ~name:"lifted counterexamples replay on the original"
@@ -213,6 +213,69 @@ let lift_replays =
             match Rand_sim.falsify ~rounds:4 ~max_depth:16 r.A.model with
             | None -> true
             | Some tr -> Sim.check_trace m (r.A.lift tr))))
+
+(* --- pad invariance ------------------------------------------------------ *)
+
+(* The analyzer reduces to the property's cone before any ternary pass, so
+   the logic padded around a core cannot change what it finds: the
+   reduced model and the trivial verdict depend on the core alone. *)
+let padded ?(name = "padded") ~pad ~seed core =
+  Isr_suite.Circuits.industrial ~name ~core ~pad_latches:pad ~pad_inputs:(pad / 3) ~seed
+
+let verdict_kind (r : A.result) =
+  match r.A.verdict with None -> "none" | Some (A.Safe _) -> "safe" | Some (A.Unsafe _) -> "unsafe"
+
+let same_under_pads ~mode core =
+  let a = A.run ~mode (padded ~pad:12 ~seed:1 core) in
+  let b = A.run ~mode (padded ~pad:60 ~seed:5 core) in
+  verdict_kind a = verdict_kind b
+  && Aiger.to_string a.A.model = Aiger.to_string b.A.model
+
+(* Random cores exercise const, which no registry entry triggers. *)
+let pad_invariance =
+  QCheck2.Test.make ~count:150 ~name:"random cores: analysis is pad-invariant"
+    ~print:(fun (c, _) -> print_circuit c)
+    QCheck2.Gen.(pair gen_circuit bool)
+    (fun (circuit, full) ->
+      with_level Level.Fast (fun () ->
+          same_under_pads ~mode:(if full then A.Full else A.Fast) (build circuit)))
+
+let registry_sample =
+  [ "vending11"; "vending7bug"; "peterson"; "fifo3"; "traffic6"; "arbiter5"; "coherence4" ]
+
+let test_registry_pad_invariance () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Isr_suite.Registry.find name) in
+      Alcotest.(check bool) (name ^ " pad-invariant") true
+        (same_under_pads ~mode:A.Fast (e.Isr_suite.Registry.build ())))
+    registry_sample
+
+(* Reduced-model digests taken before the pass order put the cone first;
+   the order change must keep them. *)
+let test_reduced_model_pins () =
+  List.iter
+    (fun (core, pad, seed, mode, digest) ->
+      let e = Option.get (Isr_suite.Registry.find core) in
+      let m =
+        padded ~name:(Printf.sprintf "%s+pad%d" core pad) ~pad ~seed
+          (e.Isr_suite.Registry.build ())
+      in
+      let r = A.run ~mode m in
+      Alcotest.(check string)
+        (Printf.sprintf "%s+pad%d seed %d" core pad seed)
+        digest
+        (Digest.to_hex (Digest.string (Aiger.to_string r.A.model)));
+      Alcotest.(check string) (core ^ " verdict") "none" (verdict_kind r))
+    [
+      ("vending11", 90, 1, A.Fast, "9b742fc42a3c2c68297f7646cec5587d");
+      ("peterson", 700, 3, A.Fast, "39fee3a9340799452809722606edb036");
+      ("fifo3", 300, 5, A.Fast, "fcae5b74ec65bdf3f6828b8fc03686b4");
+      ("traffic6", 2000, 11, A.Fast, "d45bd5e787148c83dcbbc0cab78e3dd0");
+      ("vending7bug", 150, 2, A.Fast, "057a8f4d7931eadc80b0ae349066fcd1");
+      ("arbiter5", 500, 7, A.Full, "b185a349863a6a1eca7ee79f90688b98");
+      ("coherence4", 120, 4, A.Full, "1cd30396528dc76065e365a02c658adc");
+    ]
 
 (* --- unit tests on hand-built models ----------------------------------- *)
 
@@ -316,7 +379,13 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ ternary_concrete_agreement; ternary_monotone; lfp_sound ] );
       ( "pipeline",
-        List.map QCheck_alcotest.to_alcotest [ verdict_sound; lift_replays ] );
+        List.map QCheck_alcotest.to_alcotest [ verdict_sound; lift_replays; pad_invariance ] );
+      ( "pads",
+        [
+          Alcotest.test_case "registry cores are pad-invariant" `Quick
+            test_registry_pad_invariance;
+          Alcotest.test_case "reduced-model pins" `Quick test_reduced_model_pins;
+        ] );
       ( "units",
         [
           Alcotest.test_case "stuck latch proves safe" `Quick test_stuck_latch_safe;

@@ -41,6 +41,36 @@ let test_builder_missing_next () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* [validate] walks every root once with a shared seen-set; it must
+   still name the first root that reads an undeclared input, and that
+   root's least such input, even when later roots share the offending
+   logic. *)
+let test_validate_first_offender () =
+  let man = Aig.create () in
+  let ins = Array.init 5 (fun _ -> Aig.fresh_input man) in
+  (* Declared: one input, two latches (inputs 0..2); 3 and 4 are not. *)
+  let shared = Aig.and_ man ins.(4) ins.(3) in
+  let m =
+    {
+      Model.name = "undeclared";
+      man;
+      num_inputs = 1;
+      num_latches = 2;
+      next = [| Aig.and_ man ins.(0) ins.(1); Aig.or_ man shared ins.(2) |];
+      init = [| false; false |];
+      bad = shared;
+    }
+  in
+  let expect what m =
+    match Model.validate m with
+    | Ok () -> Alcotest.fail "expected a validation error"
+    | Error msg -> Alcotest.(check string) "first offender" what msg
+  in
+  expect "undeclared: bad reads undeclared input 3" m;
+  expect "undeclared: next(1) reads undeclared input 3" { m with Model.bad = ins.(1) };
+  Alcotest.(check bool) "declared cones pass" true
+    (Model.validate { m with Model.bad = ins.(1); next = [| ins.(2); ins.(0) |] } = Ok ())
+
 let test_init_values () =
   let b = Builder.create "init" in
   let q0 = Builder.latch b ~init:true () in
@@ -306,6 +336,31 @@ let test_coi_lift_trace () =
   let lifted = Coi.lift_trace r tr_red in
   Alcotest.(check bool) "lifted trace hits" true (Sim.first_bad m lifted = Some 3)
 
+(* The design of examples/aiger/cone_witness.aag: bad reads a latch
+   loaded from input 0, so the cone drops input 1, the last one.  A lifted
+   counterexample must still be as wide as the source design, or its
+   witness file is refused. *)
+let test_coi_witness_width () =
+  let m =
+    match Aiger.parse_string ~name:"cone_witness" "aag 3 2 1 0 0 1\n2\n4\n6 2\n6\n" with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let round_trip what reduced lift =
+    Alcotest.(check int) (what ^ ": one input kept") 1 reduced.Model.num_inputs;
+    (* Load the latch at step 0; it flags bad at step 1. *)
+    let tr = { Trace.inputs = [| [| true |]; [| false |] |] } in
+    Alcotest.(check bool) (what ^ ": reduced trace hits") true (Sim.check_trace reduced tr);
+    match Aiger.witness_of_string m (Aiger.witness_to_string m (lift tr)) with
+    | Error e -> Alcotest.failf "%s: %s" what e
+    | Ok back -> Alcotest.(check bool) (what ^ ": witness replays") true (Sim.check_trace m back)
+  in
+  let r = Coi.reduce m in
+  round_trip "coi" r.Coi.model (Coi.lift_trace r);
+  let a = Isr_analyze.run m in
+  Alcotest.(check bool) "no trivial verdict" true (a.Isr_analyze.verdict = None);
+  round_trip "analyze" a.Isr_analyze.model a.Isr_analyze.lift
+
 (* --- random simulation ---------------------------------------------------- *)
 
 let test_randsim_finds_inputfree_bug () =
@@ -430,6 +485,8 @@ let () =
         [
           Alcotest.test_case "counter" `Quick test_builder_counter;
           Alcotest.test_case "missing next" `Quick test_builder_missing_next;
+          Alcotest.test_case "validate names the first offender" `Quick
+            test_validate_first_offender;
           Alcotest.test_case "init values" `Quick test_init_values;
           Alcotest.test_case "trace check" `Quick test_trace_check;
         ] );
@@ -450,6 +507,7 @@ let () =
           Alcotest.test_case "drops irrelevant" `Quick test_coi_drops_irrelevant;
           Alcotest.test_case "keeps needed" `Quick test_coi_keeps_everything_when_needed;
           Alcotest.test_case "lift trace" `Quick test_coi_lift_trace;
+          Alcotest.test_case "lifted witness width" `Quick test_coi_witness_width;
         ] );
       ( "rand_sim",
         [

@@ -392,6 +392,33 @@ let test_race_deadline () =
   | v -> Alcotest.failf "fifo3 decided within 1 s: %a" Verdict.pp v);
   if elapsed >= 1.5 then Alcotest.failf "race overran its 1 s deadline: %.2f s" elapsed
 
+(* Lanes grow their manager (PDR cubes, interpolants), and two domains
+   growing one manager corrupt its hash-consing, which now and then broke
+   a raced certificate.  Each domain runs on its own clone: the caller's
+   manager gains only the winning invariant's cone, and that invariant
+   certifies on the caller's model. *)
+let test_race_private_managers () =
+  let core = Isr_analyze.run (Registry.build_validated (entry "johnson4")) in
+  let text = Aiger.to_string core.Isr_analyze.model in
+  for _ = 1 to 50 do
+    let model = Result.get_ok (Aiger.parse_string text) in
+    let man = model.Model.man in
+    let before = Isr_aig.Aig.num_nodes man in
+    let v, _ = Isr_par.portfolio ~jobs:2 ~limits model in
+    (match Certify.check_verdict ~limits model v with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "raced certificate: %s" e);
+    let allowed =
+      match v with
+      | Verdict.Proved { invariant; _ } ->
+        Option.fold ~none:0 ~some:(Isr_aig.Aig.cone_size man) invariant
+      | v -> Alcotest.failf "johnson4 is safe, raced verdict %a" Verdict.pp v
+    in
+    let grown = Isr_aig.Aig.num_nodes man - before in
+    if grown > allowed then
+      Alcotest.failf "caller's manager grew by %d nodes, invariant cone %d" grown allowed
+  done
+
 let () =
   Alcotest.run "isr_par"
     [
@@ -399,6 +426,8 @@ let () =
         [
           Alcotest.test_case "race agrees with sequential" `Slow test_race_agrees;
           Alcotest.test_case "stolen lanes keep the race deadline" `Slow test_race_deadline;
+          Alcotest.test_case "racing domains grow private managers" `Slow
+            test_race_private_managers;
         ] );
       ( "bmc",
         [
