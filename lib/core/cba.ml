@@ -24,8 +24,6 @@ let restore_state t saved =
 
 let num_frozen t = Array.fold_left (fun n b -> if b then n + 1 else n) 0 t.frozen
 
-let extend t trace = Sim.first_bad t.model trace
-
 let refine t trace ~abstract_state =
   let states = Sim.run t.model trace in
   let frames = Array.length trace.Trace.inputs in

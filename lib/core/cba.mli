@@ -7,7 +7,8 @@
     by the property cone.
 
     [EXTEND] replays an abstract counterexample's primary inputs on the
-    concrete model (which is deterministic, so simulation decides it);
+    concrete model (which is deterministic, so {!Sim.first_bad} decides
+    it; {!Itpseq_verif} does this for every counterexample);
     [REFINE] re-concretizes the frozen latches whose abstract values
     diverge from the concrete simulation at the earliest divergent
     frame.  When the counterexample does not extend, at least one frozen
@@ -29,10 +30,6 @@ val freeze_state : t -> bool array
 val restore_state : t -> bool array -> unit
 (** Overwrites the frozen mask with a previously saved copy.
     @raise Invalid_argument on latch-count mismatch. *)
-
-val extend : t -> Trace.t -> int option
-(** Depth of the concrete violation under the trace's inputs, if any —
-    the paper's EXTEND. *)
 
 val refine : t -> Trace.t -> abstract_state:(frame:int -> bool array) -> int
 (** Re-concretizes divergent latches; returns how many were unfrozen

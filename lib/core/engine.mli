@@ -17,16 +17,21 @@ type t =
 val name : t -> string
 (** The canonical spelling: ["bmc-assume"], ["itp"], ["itpseq-assume"],
     ["sitpseq0.5-assume"], ["itpseqcba0.5-exact"], ["itpseqpba0-exact"],
-    ["kind"], ["pdr"], ["portfolio"], …  Every spelling [name] prints is
-    accepted back by {!of_name}. *)
+    ["kind"], ["pdr"], ["portfolio"], …  α is printed by
+    {!Itpseq_verif.alpha_name} ([%g]), and every spelling [name] prints
+    is accepted back by {!of_name}.  The four ITPSEQ engines are one
+    step machine, {!Itpseq_verif}, at different parameters. *)
 
 val of_name : string -> (t, string) Result.t
 (** Inverse of {!name}, plus convenience shorthands: bare ["bmc"],
     ["itpseq"], ["sitpseq"], ["itpseqcba"], ["itpseqpba"] pick the
     default check (and α where applicable), and the parameterized
     families accept any alpha in the [name] format — e.g.
-    ["sitpseq0.25-exact"], ["itpseqcba0.75"].
-    [of_name (name e) = Ok e] for every engine [e]. *)
+    ["sitpseq0.25-exact"], ["itpseqcba0.75"].  An α that [%g] does not
+    reproduce exactly (["sitpseq0.1234567"]) is refused with a one-line
+    error, since the run would be recorded under another engine's name.
+    [of_name (name e) = Ok e] for every engine [e] whose α [%g] prints
+    exactly. *)
 
 val all : t list
 (** The four paper engines, in Table I column order. *)
@@ -37,9 +42,9 @@ val stepper : t -> Step.packed option
     are exposed through {!Portfolio.lanes}). *)
 
 val run : t -> ?limits:Budget.limits -> Model.t -> Verdict.t * Verdict.stats
-(** A thin driver over the kernel: [Step.start] then [Step.drive] under
-    the ["engine"] root span (the portfolio drives its lanes through
-    {!Sched} instead).  Verdicts are unchanged from the historical
+(** A thin driver over the kernel: [Step.start] then [Step.drive] on
+    {!stepper} under the ["engine"] root span (the portfolio drives its
+    lanes through {!Sched} instead).  Verdicts are unchanged from the historical
     direct-recursion engines. *)
 
 val verify_both : ?limits:Budget.limits -> Model.t -> (t * Verdict.t) list

@@ -82,7 +82,8 @@ let stepper_of = function
   | `Kind -> Kind.stepper ()
   | `Pdr -> Pdr.stepper ()
   | `Itp -> Itp_verif.stepper ()
-  | `Itpseq_cba -> Itpseq_cba_verif.stepper ()
+  | `Itpseq_cba ->
+    Itpseq_verif.stepper ~abstraction:Cba ~mode:(Seq_family.Serial 0.5) ~check:Bmc.Exact ()
 
 let lanes ?(limits = Budget.default_limits) model =
   List.mapi

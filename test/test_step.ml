@@ -72,6 +72,12 @@ let ckpt_roundtrip packed model_name () =
     | Ok () -> ()
     | Error msg -> Alcotest.failf "%s: restored verdict fails certification: %s" ctx msg)
 
+(* The ITPSEQ machine under its two abstractions, at the engine defaults. *)
+let itpseq_cba =
+  Itpseq_verif.stepper ~abstraction:Cba ~mode:(Seq_family.Serial 0.5) ~check:Bmc.Exact ()
+
+let itpseq_pba = Itpseq_verif.stepper ~abstraction:Pba ~check:Bmc.Exact ()
+
 (* Every engine, on a safe and (where falsification applies) an unsafe
    instance.  BMC never proves, so it only gets the unsafe ones. *)
 let roundtrip_tests =
@@ -84,9 +90,10 @@ let roundtrip_tests =
     ("itpseq ckpt/resume (safe)", Itpseq_verif.stepper (), safe);
     ("itpseq ckpt/resume (cex)", Itpseq_verif.stepper (), unsafe);
     ("sitpseq ckpt/resume (safe)", Itpseq_verif.stepper ~mode:(Seq_family.Serial 0.5) (), safe);
-    ("itpseqcba ckpt/resume (safe)", Itpseq_cba_verif.stepper (), safe);
-    ("itpseqcba ckpt/resume (cex)", Itpseq_cba_verif.stepper (), unsafe);
-    ("itpseqpba ckpt/resume (safe)", Itpseq_pba_verif.stepper (), safe);
+    ("itpseqcba ckpt/resume (safe)", itpseq_cba, safe);
+    ("itpseqcba ckpt/resume (cex)", itpseq_cba, unsafe);
+    ("itpseqpba ckpt/resume (safe)", itpseq_pba, safe);
+    ("itpseqpba ckpt/resume (cex)", itpseq_pba, unsafe);
     ("kind ckpt/resume (safe)", Kind.stepper (), safe);
     ("kind ckpt/resume (cex)", Kind.stepper (), unsafe);
     ("pdr ckpt/resume (safe)", Pdr.stepper (), safe);
@@ -95,10 +102,12 @@ let roundtrip_tests =
   |> List.map (fun (doc, p, m) -> Alcotest.test_case doc `Slow (ckpt_roundtrip p m))
 
 (* A checkpoint snapped at EVERY step index of a short run must resume
-   to the reference verdict — not just the midpoint.  Exercised on one
-   sequence engine (the richest snapshot payload: interpolant columns). *)
-let every_cut_point () =
-  let packed = Itpseq_verif.stepper () and name = "traffic6" in
+   to the reference verdict — not just the midpoint.  Exercised on the
+   sequence machine under each abstraction strategy (the richest
+   snapshot payloads: interpolant columns, plus the mask under CBA and
+   PBA). *)
+let every_cut_point packed () =
+  let name = "traffic6" in
   let ref_inst = Step.start ~limits packed (build name) in
   let ref_v, _ = Step.drive ref_inst in
   let total = Step.steps_done ref_inst in
@@ -109,7 +118,7 @@ let every_cut_point () =
       let model = build name in
       let inst' = Step.restore ~limits packed model (Step.snapshot inst) in
       let v', _ = Step.drive inst' in
-      same_verdict (Printf.sprintf "itpseq cut@%d/%d" cut total) ref_v v'
+      same_verdict (Printf.sprintf "%s cut@%d/%d" (Step.name inst) cut total) ref_v v'
     end
   done
 
@@ -214,8 +223,9 @@ let name_roundtrip () =
         Engine.Bmc_only Bmc.Assume; Engine.Bmc_only Bmc.Exact; Engine.Bmc_only Bmc.Bound;
         Engine.Itp; Engine.Itpseq Bmc.Assume; Engine.Itpseq Bmc.Exact;
         Engine.Sitpseq (0.5, Bmc.Assume); Engine.Sitpseq (0.25, Bmc.Exact);
-        Engine.Sitpseq (1.0, Bmc.Assume);
+        Engine.Sitpseq (1.0, Bmc.Assume); Engine.Sitpseq (0.125, Bmc.Assume);
         Engine.Itpseq_cba (0.5, Bmc.Exact); Engine.Itpseq_cba (0.75, Bmc.Assume);
+        Engine.Itpseq_cba (0.125, Bmc.Exact);
         Engine.Itpseq_pba (0.0, Bmc.Exact); Engine.Itpseq_pba (0.3, Bmc.Assume);
         Engine.Kind; Engine.Pdr; Engine.Portfolio;
       ]
@@ -231,7 +241,12 @@ let name_roundtrip () =
     variants;
   (match Engine.of_name "sitpseq1.5-assume" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "alpha out of range accepted")
+  | Ok _ -> Alcotest.fail "alpha out of range accepted");
+  (* An α the name cannot print exactly would run one engine and record
+     another. *)
+  match Engine.of_name "sitpseq0.1234567" with
+  | Error msg -> Alcotest.(check bool) "one-line error" false (String.contains msg '\n')
+  | Ok e -> Alcotest.failf "unprintable alpha accepted as %s" (Engine.name e)
 
 (* The kernel spelling must match the façade spelling: checkpoints
    written under one name must resolve back to the same engine. *)
@@ -250,7 +265,14 @@ let () =
     [
       ("roundtrip", roundtrip_tests);
       ( "cut-points",
-        [ Alcotest.test_case "every cut point resumes to the verdict" `Slow every_cut_point ] );
+        [
+          Alcotest.test_case "every cut point resumes to the verdict" `Slow
+            (every_cut_point (Itpseq_verif.stepper ()));
+          Alcotest.test_case "every cut point resumes to the verdict (cba)" `Slow
+            (every_cut_point itpseq_cba);
+          Alcotest.test_case "every cut point resumes to the verdict (pba)" `Slow
+            (every_cut_point itpseq_pba);
+        ] );
       ( "envelope",
         [
           Alcotest.test_case "mismatched restores are refused" `Quick restore_mismatch;
