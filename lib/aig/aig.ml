@@ -1,13 +1,22 @@
 (* Node 0 is the constant-false node.  Inputs have fanin0 = -1 and carry
    their input index in fanin1.  AND nodes store two literal fanins with
-   fanin0 >= fanin1 (canonical order for hashing). *)
+   fanin0 >= fanin1 (canonical order for hashing).
+
+   The structural hash is an open-addressed table of AND node ids with
+   linear probing; 0 marks an empty slot, which is safe because node 0 is
+   the constant and never an AND.  A probe compares the fanin arrays in
+   place, so a lookup allocates nothing.  The size is a power of two kept
+   at least twice the AND count.  The table only answers "which node is
+   (f0, f1)": node ids come from [n] in [and_] call order, so the layout
+   never shows in the numbering. *)
 
 type man = {
   mutable fanin0 : int array;
   mutable fanin1 : int array;
   mutable n : int;                         (* nodes allocated *)
   mutable ninputs : int;
-  strash : (int * int, int) Hashtbl.t;     (* (f0, f1) -> node *)
+  mutable strash : int array;              (* slot -> AND node, 0 = empty *)
+  mutable shift : int;                     (* 63 - log2 (length strash) *)
   mutable inputs : int array;              (* input index -> node *)
 }
 
@@ -20,6 +29,8 @@ let is_complemented l = l land 1 = 1
 let not_ l = l lxor 1
 let mk_lit node compl = (node lsl 1) lor (if compl then 1 else 0)
 
+let strash_bits = 8
+
 let create () =
   let m =
     {
@@ -27,7 +38,8 @@ let create () =
       fanin1 = Array.make 64 0;
       n = 0;
       ninputs = 0;
-      strash = Hashtbl.create 251;
+      strash = Array.make (1 lsl strash_bits) 0;
+      shift = 63 - strash_bits;
       inputs = Array.make 16 0;
     }
   in
@@ -43,7 +55,8 @@ let clone m =
     fanin1 = Array.copy m.fanin1;
     n = m.n;
     ninputs = m.ninputs;
-    strash = Hashtbl.copy m.strash;
+    strash = Array.copy m.strash;
+    shift = m.shift;
     inputs = Array.copy m.inputs;
   }
 
@@ -93,6 +106,25 @@ let fanins m l =
   let node = node_of l in
   (m.fanin0.(node), m.fanin1.(node))
 
+(* Fibonacci hashing: the top bits of the key times 2^63 / phi. *)
+let home m f0 f1 = (((f0 lsl 31) lxor f1) * 0x4F1BBCDCBFA53E0B) lsr m.shift
+
+(* The slot holding the AND node (f0, f1), or the empty slot where it
+   belongs.  Top-level and tail-recursive, so a probe builds no closure. *)
+let rec probe m f0 f1 slot =
+  let node = m.strash.(slot) in
+  if node = 0 || (m.fanin0.(node) = f0 && m.fanin1.(node) = f1) then slot
+  else probe m f0 f1 ((slot + 1) land (Array.length m.strash - 1))
+
+(* Doubles the table and reinserts every AND node. *)
+let rehash m =
+  m.strash <- Array.make (2 * Array.length m.strash) 0;
+  m.shift <- m.shift - 1;
+  for node = 1 to m.n - 1 do
+    let f0 = m.fanin0.(node) and f1 = m.fanin1.(node) in
+    if f0 >= 0 then m.strash.(probe m f0 f1 (home m f0 f1)) <- node
+  done
+
 let and_ m a b =
   (* One-level simplifications. *)
   if a = lit_false || b = lit_false then lit_false
@@ -101,17 +133,20 @@ let and_ m a b =
   else if a = b then a
   else if a = not_ b then lit_false
   else begin
-    let f0, f1 = if a >= b then (a, b) else (b, a) in
-    match Hashtbl.find_opt m.strash (f0, f1) with
-    | Some node -> mk_lit node false
-    | None ->
+    let f0 = if a >= b then a else b and f1 = if a >= b then b else a in
+    let slot = probe m f0 f1 (home m f0 f1) in
+    let node = m.strash.(slot) in
+    if node <> 0 then mk_lit node false
+    else begin
       grow m;
       let node = m.n in
       m.fanin0.(node) <- f0;
       m.fanin1.(node) <- f1;
       m.n <- node + 1;
-      Hashtbl.add m.strash (f0, f1) node;
+      m.strash.(slot) <- node;
+      if 2 * num_ands m > Array.length m.strash then rehash m;
       mk_lit node false
+    end
   end
 
 let or_ m a b = not_ (and_ m (not_ a) (not_ b))

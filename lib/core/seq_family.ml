@@ -5,10 +5,6 @@ open Isr_itp
 
 type mode = Parallel | Serial of float
 
-let mode_name = function
-  | Parallel -> "parallel"
-  | Serial alpha -> Printf.sprintf "serial(%.2f)" alpha
-
 let src = Logs.Src.create "isr.seq_family" ~doc:"interpolation sequence extraction"
 
 module Log = (val Logs.src_log src : Logs.LOG)

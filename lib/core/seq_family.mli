@@ -15,8 +15,6 @@ open Isr_model
 
 type mode = Parallel | Serial of float  (** serial fraction α ∈ [0,1] *)
 
-val mode_name : mode -> string
-
 val of_refutation :
   ?system:Isr_itp.Itp.system ->
   Budget.t ->

@@ -11,7 +11,11 @@
     construction). *)
 
 val parse_string : ?name:string -> string -> (Model.t, string) Result.t
-(** Auto-detects [aag] vs [aig] by the header. *)
+(** Auto-detects [aag] vs [aig] by the header.  Total: any text yields
+    [Ok] of a model that passes {!Model.validate}, or [Error] with a
+    one-line reason — negative or non-decimal fields, out-of-range or
+    undefined literals, redefined variables, or a header declaring more
+    than the text can hold.  Nothing is allocated beyond O(text length). *)
 
 val parse_file : string -> (Model.t, string) Result.t
 

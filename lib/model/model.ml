@@ -47,22 +47,28 @@ let validate t =
        as with a separate support per root. *)
     let max_idx = t.num_inputs + t.num_latches in
     let walk = Aig.cone_walk t.man in
-    let rec all = function
-      | [] -> Ok ()
-      | (what, l) :: rest -> (
-        let least = ref max_int in
-        walk l ~f:(fun node ->
-            let nl = node lsl 1 in
-            if Aig.is_input t.man nl then begin
-              let i = Aig.input_index t.man nl in
-              if i >= max_idx then least := min !least i
-            end);
-        if !least < max_int then fail "%s: %s reads undeclared input %d" t.name what !least
-        else all rest)
+    let least = ref max_int in
+    let f node =
+      let nl = node lsl 1 in
+      if Aig.is_input t.man nl then begin
+        let i = Aig.input_index t.man nl in
+        if i >= max_idx then least := min !least i
+      end
     in
-    all
-      (("bad", t.bad)
-      :: List.init t.num_latches (fun i -> (Printf.sprintf "next(%d)" i, t.next.(i))))
+    (* Root -1 is bad, root i >= 0 is next(i); a root is named only when
+       it fails. *)
+    let rec all i =
+      if i = t.num_latches then Ok ()
+      else begin
+        walk (if i < 0 then t.bad else t.next.(i)) ~f;
+        if !least = max_int then all (i + 1)
+        else
+          fail "%s: %s reads undeclared input %d" t.name
+            (if i < 0 then "bad" else Printf.sprintf "next(%d)" i)
+            !least
+      end
+    in
+    all (-1)
   end
 
 type observables = { obs_latches : bool array; obs_inputs : bool array }

@@ -183,10 +183,92 @@ let prop_substitute_semantics =
       done;
       !ok)
 
+(* Reference strash: the same one-level rules in front of a polymorphic
+   Hashtbl, numbering nodes in creation order. *)
+type ref_man = { tbl : (int * int, int) Hashtbl.t; mutable next : int }
+
+let ref_and r a b =
+  if a = Aig.lit_false || b = Aig.lit_false then Aig.lit_false
+  else if a = Aig.lit_true then b
+  else if b = Aig.lit_true then a
+  else if a = b then a
+  else if a = Aig.not_ b then Aig.lit_false
+  else
+    let key = (max a b, min a b) in
+    match Hashtbl.find_opt r.tbl key with
+    | Some node -> 2 * node
+    | None ->
+      let node = r.next in
+      r.next <- node + 1;
+      Hashtbl.add r.tbl key node;
+      2 * node
+
+(* A literal pool with room for every literal a test makes. *)
+type pool = { lits : int array; mutable size : int }
+
+(* Replays [ops] on [m] and on [r], adding each result to [pool]: an op
+   picks two pool literals and phases, or every fifth one re-issues an
+   earlier pair of this replay swapped, so lookups hit as well as miss.
+   False on the first disagreement. *)
+let replay m r pool ops =
+  let issued = Array.make (List.length ops) (0, 0) and n = ref 0 in
+  List.for_all
+    (fun (x, y) ->
+      let pick v = pool.lits.(v mod pool.size) lxor (v / pool.size land 1) in
+      let a, b =
+        if x mod 5 = 0 && !n > 0 then
+          let a, b = issued.(y mod !n) in
+          (b, a)
+        else (pick x, pick y)
+      in
+      let l = Aig.and_ m a b in
+      (* Constants stay out, or they would soon fill the pool. *)
+      if not (Aig.is_const m l) then begin
+        pool.lits.(pool.size) <- l;
+        pool.size <- pool.size + 1
+      end;
+      issued.(!n) <- (a, b);
+      incr n;
+      l = ref_and r a b)
+    ops
+  && Aig.num_nodes m = r.next
+
+(* 1100+ ANDs cross the rehashes at 129, 257, 513 and 1025 of them. *)
+let prop_strash_matches_reference =
+  let open QCheck2.Gen in
+  let ops lo hi = list_size (int_range lo hi) (pair (int_bound 1_000_000) (int_bound 1_000_000)) in
+  QCheck2.Test.make ~count:20 ~name:"strash matches a Hashtbl model across rehashes and clones"
+    ~print:(fun (k, a, b, c) ->
+      Printf.sprintf "%d inputs, ops %d + clone %d / source %d" k (List.length a) (List.length b)
+        (List.length c))
+    (quad (int_range 2 12) (ops 2000 4000) (ops 0 1000) (ops 0 1000))
+    (fun (k, ops, clone_ops, source_ops) ->
+      let m = Aig.create () in
+      let inputs = Array.init k (fun _ -> Aig.fresh_input m) in
+      let r = { tbl = Hashtbl.create 64; next = k + 1 } in
+      (* false, true and the inputs, then room for every op's result. *)
+      let pool = { lits = Array.make (k + 6002) Aig.lit_false; size = k + 2 } in
+      pool.lits.(1) <- Aig.lit_true;
+      Array.blit inputs 0 pool.lits 2 k;
+      replay m r pool ops
+      && Aig.num_ands m > 1100
+      &&
+      (* The clone and its source grow apart, each from a copy of the
+         reference and of the pool. *)
+      let c = Aig.clone m and rc = { tbl = Hashtbl.copy r.tbl; next = r.next } in
+      let cpool = { lits = Array.copy pool.lits; size = pool.size } in
+      replay c rc cpool clone_ops && replay m r pool source_ops)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_eval_matches; prop_eval64_matches; prop_support_sound; prop_substitute_semantics ]
+      [
+        prop_eval_matches;
+        prop_eval64_matches;
+        prop_support_sound;
+        prop_substitute_semantics;
+        prop_strash_matches_reference;
+      ]
   in
   Alcotest.run "isr_aig"
     [

@@ -168,6 +168,23 @@ let test_aiger_errors () =
       "aag 1 1 0 1 0\n2";
       "aag 2 1 0 1 1\n2\n6\n4 2 6";
       (* and uses lit 6 > max var *)
+      "aag 3 1 1 1 1\n2\n4 -6\n6\n6 2 4\n";
+      "aag -3 1 1 1 1\n2\n4 6\n6\n6 2 4\n";
+      "aag 3 1 1 1 1\n2\n4 0x6\n6\n6 2 4\n";
+      "aag 3 1 1 1 1\n2\n4 6\n6\n6 2 8\n";
+      "aag 3 1 1 1 1\n2\n4 6\n6\n6 2 6\n";
+      "aag 3 1 1 1 1\n0\n4 6\n6\n6 2 4\n";
+      "aag 1000000000000 0 0 0 0\n";
+      "aag 1 1000000000000 0 0 0\n";
+      "aag 99999999999999999999999 0 0 0 0\n";
+      "aig 2 1 1 1 0\n9\n0\n";
+      "aig 2 1 1 1 0\n4 2\n0\n";
+      "aig 1 1 0 1 0\n-2\n";
+      "aig 2 1 0 1 1\n4\n\000\001";
+      "aig 2 1 0 1 1\n4\n\005\001";
+      "aig 2 1 0 1 1\n4\n\002\003";
+      "aig 2 1 0 1 1\n4\n\255\255\255\255\255\255\255\255\255\255\001";
+      "aig 1000000000 1000000000 0 0 0\n";
     ]
   in
   List.iter
@@ -188,6 +205,184 @@ let test_aiger_minimal () =
     (* latch starts 0, next = !latch; bad = latch & input *)
     let tr = { Trace.inputs = [| [| true |]; [| true |] |] } in
     Alcotest.(check bool) "bad at frame 1" true (Sim.check_trace m tr)
+
+(* Parsed node counts of every fig6 entry and four padded industrial
+   designs, from the reader as it stood before the open-addressed strash:
+   the numbering must not move. *)
+let parsed_nodes =
+  [
+    ("amba2g3", 14); ("amba3g4", 40); ("amba4bug", 75); ("eijkring8", 89);
+    ("eijkring12", 181); ("eijkring10u7", 42); ("lfsr8d40", 25); ("lfsr9safe", 21);
+    ("vending11", 42); ("vending7bug", 38); ("traffic6", 32); ("traffic5bug", 34);
+    ("peterson", 59); ("prodcons8", 61); ("prodcons6bug", 42); ("coherence3", 87);
+    ("coherence4", 124); ("coherence3bug", 78); ("reactor2x3", 48); ("reactor3x2", 40);
+    ("guidance4", 54); ("tcas12", 60); ("tcas25", 78); ("feistel8x8", 181);
+    ("rether16", 47); ("rether33", 57); ("counter6t40", 31); ("countermod6m50", 40);
+    ("gcount5t20", 41); ("fifo3", 137); ("fifo2bug", 85); ("elevator6", 50);
+    ("hamming8", 91); ("hamming6bug", 70); ("dekker", 77); ("johnson6", 42);
+    ("johnson5u8", 10); ("stack4", 80); ("stack3bug", 60); ("industrialA1", 1135);
+    ("industrialA2", 2291); ("industrialA3", 2152); ("industrialA4", 2156);
+    ("industrialB1", 6741); ("industrialB2", 7067); ("industrialB3", 7289);
+    ("industrialC1", 7190); ("industrialC2", 5567); ("industrialD1", 930);
+    ("industrialE1", 5596); ("industrialF1", 14881); ("industrialF2", 20359);
+    ("industrialF3", 17619); ("counter7t10", 36); ("counter7t20", 37); ("counter7t30", 36);
+    ("counter7t50", 36); ("counter7t70", 36); ("counter7t90", 36); ("countermod7m12", 48);
+    ("countermod7m24", 47); ("countermod7m48", 46); ("countermod7m96", 45);
+    ("ring4safe", 29); ("ring6safe", 55); ("ring10safe", 131); ("ring14safe", 239);
+    ("ring16safe", 305); ("ring6u3", 26); ("ring8u5", 34); ("ring12u9", 50);
+    ("ring14u11", 58); ("tcas6", 42); ("tcas9", 60); ("tcas15", 59); ("tcas18", 78);
+    ("tcas21", 78); ("tcas30", 78); ("rether8", 37); ("rether12", 37); ("rether20", 47);
+    ("rether24", 47); ("rether40", 57); ("vending5", 31); ("vending9", 43);
+    ("vending14", 41); ("vending18", 53); ("vending5bug", 28); ("vending9bug", 39);
+    ("vending13bug", 39); ("prodcons4", 43); ("prodcons6", 44); ("prodcons12", 62);
+    ("prodcons16", 79); ("prodcons4bug", 42); ("prodcons10bug", 59); ("prodcons14bug", 59);
+    ("arbiter4", 71); ("arbiter5", 121); ("arbiter6", 174); ("coherence5x", 164);
+    ("coherence6x", 207); ("traffic4", 31); ("traffic9", 40); ("traffic12", 38);
+    ("feistel4x6", 134); ("feistel6x10", 212); ("feistel10x12", 259); ("guidance3", 46);
+    ("guidance5", 62); ("guidance6", 70); ("lfsr8d15", 25); ("lfsr8d25", 25);
+    ("lfsr8d55", 25); ("reactor2x2", 27); ("reactor4x2", 53); ("reactor2x4", 70);
+    ("fifo2safe", 87); ("fifo4safe", 187); ("fifo3bug", 135); ("elevator4", 34);
+    ("elevator8", 50); ("hamming5", 58); ("hamming12", 135); ("johnson4", 20);
+    ("johnson8", 72); ("johnson10", 110); ("stack3", 62); ("stack5", 98);
+    ("industrialP150", 1418); ("industrialP300", 2807); ("industrialP450", 4194);
+    ("peterson+pad90", 899); ("stack5+pad600", 5695); ("traffic6+pad2200", 20564);
+    ("vending11+pad1200", 11241);
+  ]
+
+let roundtrip_designs () =
+  let module R = Isr_suite.Registry in
+  List.map (fun e -> (e.R.name, e.R.build)) R.fig6
+  @ List.map
+      (fun (core, pad, seed) ->
+        let name = Printf.sprintf "%s+pad%d" core pad in
+        let e = Option.get (R.find core) in
+        ( name,
+          fun () ->
+            Isr_suite.Circuits.industrial ~name ~core:(e.R.build ()) ~pad_latches:pad
+              ~pad_inputs:(pad / 3) ~seed ))
+      [ ("peterson", 90, 1); ("stack5", 600, 2); ("traffic6", 2200, 3); ("vending11", 1200, 4) ]
+
+(* The writer numbers ANDs in cone-walk order, larger fanin first, and
+   the reader numbers them in file order, so [to_string (parse t)] is a
+   renumbering of [t], not [t] itself.  Both halves are pinned instead:
+   one digest over, per design, the ASCII and binary renderings and the
+   renderings of what the reader makes of them, taken with the writer and
+   reader as they stood before the array numbering and the one-pass
+   cursor. *)
+let renderings_digest = "5018f48629c4f6be182f2bd91170f11b"
+
+let test_aiger_renderings_and_numbering () =
+  let designs = roundtrip_designs () in
+  Alcotest.(check int) "every design pinned" (List.length parsed_nodes) (List.length designs);
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, build) ->
+      let m = build () in
+      let reparse text =
+        match Aiger.parse_string ~name:m.Model.name text with
+        | Ok m' ->
+          Alcotest.(check int) (name ^ ": parsed nodes") (List.assoc name parsed_nodes)
+            (Aig.num_nodes m'.Model.man);
+          m'
+        | Error e -> Alcotest.failf "%s: %s" name e
+      in
+      let a = Aiger.to_string m and b = Aiger.to_binary_string m in
+      let pa = reparse a and pb = reparse b in
+      Alcotest.(check string) (name ^ ": both encodings parse alike") (Aiger.to_string pa)
+        (Aiger.to_string pb);
+      List.iter (Buffer.add_string buf) [ a; b; Aiger.to_string pa; Aiger.to_binary_string pb ])
+    designs;
+  Alcotest.(check string) "renderings digest" renderings_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Seeded byte and line mutations of valid renderings: the reader answers
+   [Ok] or [Error] and never raises, and whatever it accepts validates. *)
+let mutate rand text =
+  let len = String.length text in
+  let int n = Random.State.int rand (max 1 n) in
+  let byte () =
+    let alphabet = "0123456789  \n\n-+xa\t\r\128\255" in
+    if int 4 = 0 then Char.chr (int 256) else alphabet.[int (String.length alphabet)]
+  in
+  let lines = String.split_on_char '\n' text |> Array.of_list in
+  let nlines = Array.length lines in
+  let k = int nlines in
+  let join a = String.concat "\n" (Array.to_list a) in
+  match int 8 with
+  | 0 ->
+    let at = int len in
+    String.mapi (fun i ch -> if i = at then byte () else ch) text
+  | 1 when len > 0 ->
+    let at = int len in
+    String.sub text 0 at ^ String.sub text (at + 1) (len - at - 1)
+  | 2 ->
+    let at = int len in
+    String.sub text 0 at ^ String.make 1 (byte ()) ^ String.sub text at (len - at)
+  | 3 -> String.sub text 0 (int len)
+  | 4 -> join (Array.append (Array.sub lines 0 k) (Array.sub lines (k + 1) (nlines - k - 1)))
+  | 5 ->
+    let j = int nlines in
+    let t = lines.(k) in
+    lines.(k) <- lines.(j);
+    lines.(j) <- t;
+    join lines
+  | 6 ->
+    lines.(k) <- lines.(k) ^ " " ^ lines.(int nlines);
+    join lines
+  | _ ->
+    (* Overwrite one field with a boundary value. *)
+    let fields = String.split_on_char ' ' lines.(k) |> Array.of_list in
+    let values = [| "0"; "1"; "-1"; "-6"; "4611686018427387903"; "99999999999999999999"; "x" |] in
+    fields.(int (Array.length fields)) <- values.(int (Array.length values));
+    lines.(k) <- String.concat " " (Array.to_list fields);
+    join lines
+
+let test_aiger_mutations () =
+  let examples =
+    Sys.readdir "../examples/aiger" |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".aag")
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat "../examples/aiger" f) In_channel.input_all)
+  in
+  Alcotest.(check bool) "example files found" true (examples <> []);
+  let renderings =
+    List.concat_map
+      (fun text ->
+        match Aiger.parse_string text with
+        | Ok m -> [ text; Aiger.to_binary_string m ]
+        | Error e -> Alcotest.failf "example: %s" e)
+      examples
+    @ List.concat_map
+        (fun name ->
+          let m = Isr_suite.Registry.build_validated (Option.get (Isr_suite.Registry.find name)) in
+          [ Aiger.to_string m; Aiger.to_binary_string m ])
+        [ "peterson"; "vending11"; "traffic6"; "vending7bug"; "amba2g3"; "lfsr8d40" ]
+  in
+  let rand = Random.State.make [| 15 |] in
+  let tried = ref 0 and accepted = ref 0 in
+  List.iter
+    (fun base ->
+      for _ = 1 to 40 do
+        let text = ref base in
+        for _ = 0 to Random.State.int rand 3 do
+          text := mutate rand !text
+        done;
+        incr tried;
+        match Aiger.parse_string !text with
+        | Error _ -> ()
+        | Ok m -> (
+          incr accepted;
+          match Model.validate m with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "accepted %S but it does not validate: %s" !text e)
+        | exception e ->
+          Alcotest.failf "parse_string %S raised %s" !text (Printexc.to_string e)
+      done)
+    renderings;
+  Alcotest.(check bool) (Printf.sprintf "at least 300 mutants (%d)" !tried) true (!tried >= 300);
+  Alcotest.(check bool)
+    (Printf.sprintf "some mutants rejected (%d accepted)" !accepted)
+    true (!accepted < !tried)
 
 (* --- Tseitin ------------------------------------------------------------ *)
 
@@ -500,6 +695,8 @@ let () =
           Alcotest.test_case "minimal file" `Quick test_aiger_minimal;
           Alcotest.test_case "multi output" `Quick test_aiger_multi_output;
           Alcotest.test_case "witness roundtrip" `Quick test_witness_roundtrip;
+          Alcotest.test_case "renderings and numbering" `Quick test_aiger_renderings_and_numbering;
+          Alcotest.test_case "mutations" `Quick test_aiger_mutations;
         ] );
       ("tseitin", [ Alcotest.test_case "equisat" `Quick test_tseitin_equisat ]);
       ( "coi",
